@@ -15,9 +15,19 @@
 //! * `S2`+ — within a conjunction, monadic terms restrict indirect joins;
 //! * `S3`+ — extended range expressions shrink the candidate sets;
 //! * `S4` — value lists evaluate quantifiers during collection.
+//!
+//! A value list whose links are all `=` under `SOME` is probed as a hash
+//! semijoin, and one whose links are all `<>` under `ALL` as a hash
+//! anti-semijoin (one set per linked column); every other list is compared
+//! row by row.  For the paper's cost unit, a comparison is one evaluation of a
+//! join term or restriction on one pair of values, and **one hash probe
+//! counts as one comparison**, whatever the number of rows it rules in or
+//! out.
 
 use pascalr_sync::Arc;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use pascalr_calculus::{
     eval_formula, Binding, Env, Quantifier, RangeExpr, RelationProvider, Term, VarName,
@@ -100,50 +110,181 @@ pub struct DerivedCheck {
     pub constant: Option<bool>,
     /// Number of values actually stored (for the E9 report).
     pub stored_values: usize,
+    /// Positions of the linked components in the target's schema, in link
+    /// order.
+    target_indices: Box<[usize]>,
+    /// How an element is tested against `values`.
+    form: ListForm,
+}
+
+/// How [`DerivedCheck::satisfied`] tests an element against the value list.
+#[derive(Debug, Clone)]
+enum ListForm {
+    /// Compare with every row in turn — the reference semantics.  Used for
+    /// the single-value lists of the Section 4.4 reductions, for
+    /// mixed-operator links and for a `<>` column holding values of more
+    /// than one kind.
+    Linear,
+    /// `SOME` with every link `=`, a hash semijoin: row positions bucketed
+    /// by the hash of the row.  `Value` equality is exactly `=` (values of
+    /// different kinds are unequal, as `=` is false on them).
+    Semijoin {
+        hasher: RandomState,
+        buckets: HashMap<u64, Vec<usize>>,
+    },
+    /// `ALL` with every link `<>`, a hash anti-semijoin: per linked column,
+    /// one of its values (every value of the column is of that one's kind)
+    /// and the set of its values.
+    AntiSemijoin(Vec<(Value, HashSet<Value>)>),
+}
+
+impl ListForm {
+    /// The hashed form of a value list, where its links allow one.
+    fn build(
+        quantifier: Quantifier,
+        links: &[DyadicLink],
+        values: &[Box<[Value]>],
+        constant: Option<bool>,
+    ) -> ListForm {
+        if constant.is_some() || values.is_empty() {
+            return ListForm::Linear;
+        }
+        let every_link = |op: CompareOp| links.iter().all(|l| l.op == op);
+        match quantifier {
+            Quantifier::Some if every_link(CompareOp::Eq) => {
+                let hasher = RandomState::new();
+                let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+                for (pos, row) in values.iter().enumerate() {
+                    buckets
+                        .entry(hash_row(&hasher, row.iter()))
+                        .or_default()
+                        .push(pos);
+                }
+                ListForm::Semijoin { hasher, buckets }
+            }
+            Quantifier::All if every_link(CompareOp::Ne) => (0..links.len())
+                .map(|col| {
+                    let witness = &values[0][col];
+                    values
+                        .iter()
+                        .all(|row| witness.try_compare(&row[col]).is_ok())
+                        .then(|| {
+                            let set = values.iter().map(|row| row[col].clone()).collect();
+                            (witness.clone(), set)
+                        })
+                })
+                .collect::<Option<Vec<_>>>()
+                .map_or(ListForm::Linear, ListForm::AntiSemijoin),
+            _ => ListForm::Linear,
+        }
+    }
+}
+
+/// Hashes a row of components the same way whether it is stored or built
+/// from a target element's components.
+fn hash_row<'v>(hasher: &RandomState, components: impl Iterator<Item = &'v Value>) -> u64 {
+    let mut h = hasher.build_hasher();
+    for v in components {
+        v.hash(&mut h);
+    }
+    h.finish()
 }
 
 impl DerivedCheck {
-    /// Tests an element of the target variable.
-    pub fn satisfied(
-        &self,
-        tuple: &Tuple,
-        schema: &RelationSchema,
-        metrics: &Metrics,
-    ) -> Result<bool, ExecError> {
-        if let Some(c) = self.constant {
-            return Ok(c);
+    fn new(
+        target_var: VarName,
+        quantifier: Quantifier,
+        links: Vec<DyadicLink>,
+        values: Vec<Box<[Value]>>,
+        constant: Option<bool>,
+        target_indices: Box<[usize]>,
+    ) -> Self {
+        let form = ListForm::build(quantifier, &links, &values, constant);
+        DerivedCheck {
+            target_var,
+            quantifier,
+            links,
+            stored_values: values.len(),
+            values,
+            constant,
+            target_indices,
+            form,
         }
-        let mut target_vals = Vec::with_capacity(self.links.len());
-        for link in &self.links {
-            let idx = schema.attr_index(&link.target_attr).ok_or_else(|| {
-                ExecError::UnknownComponent {
-                    variable: self.target_var.to_string(),
-                    attribute: link.target_attr.to_string(),
-                }
-            })?;
-            target_vals.push(tuple.get(idx));
-        }
-        let mut comparisons = 0u64;
-        let result = match self.quantifier {
-            Quantifier::Some => self.values.iter().any(|row| {
-                comparisons += self.links.len() as u64;
-                self.row_matches(&target_vals, row)
-            }),
-            Quantifier::All => self.values.iter().all(|row| {
-                comparisons += self.links.len() as u64;
-                self.row_matches(&target_vals, row)
-            }),
-        };
-        metrics.record_comparisons(Phase::Collection, comparisons);
-        Ok(result)
     }
 
-    fn row_matches(&self, target_vals: &[&Value], row: &[Value]) -> bool {
-        self.links
-            .iter()
-            .enumerate()
-            .all(|(i, link)| link.op.eval(target_vals[i], &row[i]).unwrap_or(false))
+    /// Tests an element of the target variable (a tuple of the target's
+    /// relation).
+    pub fn satisfied(&self, tuple: &Tuple, metrics: &Metrics) -> bool {
+        if let Some(c) = self.constant {
+            return c;
+        }
+        let target = || self.target_indices.iter().map(|&i| tuple.get(i));
+        let (result, comparisons) = match &self.form {
+            ListForm::Linear => self.scan(tuple),
+            ListForm::Semijoin { hasher, buckets } => {
+                let hit = buckets
+                    .get(&hash_row(hasher, target()))
+                    .is_some_and(|rows| rows.iter().any(|&r| self.values[r].iter().eq(target())));
+                (hit, 1)
+            }
+            ListForm::AntiSemijoin(columns) => {
+                let mut probes = 0u64;
+                // A component of another kind than its column compares with
+                // no row, so `<>` fails on every row of the (non-empty) list.
+                let pass = columns.iter().zip(target()).all(|((witness, set), t)| {
+                    probes += 1;
+                    witness.try_compare(t).is_ok() && !set.contains(t)
+                });
+                (pass, probes)
+            }
+        };
+        metrics.record_comparisons(Phase::Collection, comparisons);
+        result
     }
+
+    /// The linear test: every row, every link, with an incomparable pair
+    /// reading `false`.  Returns the result and the comparisons made.
+    fn scan(&self, tuple: &Tuple) -> (bool, u64) {
+        let mut comparisons = 0u64;
+        let mut row_matches = |row: &[Value]| {
+            comparisons += self.links.len() as u64;
+            self.links
+                .iter()
+                .zip(self.target_indices.iter())
+                .zip(row.iter())
+                .all(|((link, &i), bound)| link.op.eval(tuple.get(i), bound).unwrap_or(false))
+        };
+        let result = match self.quantifier {
+            Quantifier::Some => self.values.iter().any(|row| row_matches(row)),
+            Quantifier::All => self.values.iter().all(|row| row_matches(row)),
+        };
+        (result, comparisons)
+    }
+
+    /// Whether the check probes a hash structure instead of scanning.
+    #[cfg(test)]
+    pub(crate) fn is_hashed(&self) -> bool {
+        !matches!(self.form, ListForm::Linear)
+    }
+}
+
+/// Positions of `attrs` in `schema`, reported against `var` when one is
+/// missing.
+fn component_indices<'a>(
+    schema: &RelationSchema,
+    var: &VarName,
+    attrs: impl Iterator<Item = &'a Arc<str>>,
+) -> Result<Box<[usize]>, ExecError> {
+    attrs
+        .map(|attr| {
+            schema
+                .attr_index(attr)
+                .ok_or_else(|| ExecError::UnknownComponent {
+                    variable: var.to_string(),
+                    attribute: attr.to_string(),
+                })
+        })
+        .collect()
 }
 
 /// Everything the collection phase hands to the combination phase.
@@ -407,33 +548,36 @@ fn record_scans(
     Ok(())
 }
 
-/// Builds the value list of one Strategy 4 step and reduces it.
+/// Builds the value list of one Strategy 4 step and reduces it.  `info`
+/// resolves the step's bound variable, `target_schema` is the schema of the
+/// relation its target variable ranges over.
 fn build_derived_check(
     step: &SemijoinStep,
+    info: &VarInfo,
+    target_schema: &RelationSchema,
     earlier: &[DerivedCheck],
     reader: StorageReader<'_>,
     metrics: &Metrics,
 ) -> Result<DerivedCheck, ExecError> {
-    let info = resolve_var(&step.bound_var, &step.range, reader)?;
     // Steps exist only at Strategy 4: a covering permanent index serves
     // the (extended) range by probe instead of a scan.
-    let candidates = match range_candidates_indexed(&info, reader, metrics)? {
+    let candidates = match range_candidates_indexed(info, reader, metrics)? {
         Some(c) => c,
-        None => range_candidates(&info, reader, metrics)?,
+        None => range_candidates(info, reader, metrics)?,
     };
     let rel = reader.relation(&info.relation)?;
 
     // Project the retained elements onto the linked bound components.
-    let mut bound_indices = Vec::with_capacity(step.links.len());
-    for link in &step.links {
-        let idx = info.schema.attr_index(&link.bound_attr).ok_or_else(|| {
-            ExecError::UnknownComponent {
-                variable: step.bound_var.to_string(),
-                attribute: link.bound_attr.to_string(),
-            }
-        })?;
-        bound_indices.push(idx);
-    }
+    let bound_indices = component_indices(
+        &info.schema,
+        &step.bound_var,
+        step.links.iter().map(|l| &l.bound_attr),
+    )?;
+    let target_indices = component_indices(
+        target_schema,
+        &step.target_var,
+        step.links.iter().map(|l| &l.target_attr),
+    )?;
 
     let mut values: Vec<Box<[Value]>> = Vec::new();
     'outer: for r in candidates {
@@ -445,8 +589,7 @@ fn build_derived_check(
             }
         }
         for &consumed in &step.consumes {
-            let check = &earlier[consumed];
-            if !check.satisfied(tuple, &info.schema, metrics)? {
+            if !earlier[consumed].satisfied(tuple, metrics) {
                 continue 'outer;
             }
         }
@@ -490,7 +633,12 @@ fn build_derived_check(
                 (values, Some(matches!(step.quantifier, Quantifier::All)))
             } else {
                 let first = values[0].clone();
-                let all_same = values.iter().all(|row| row[0] == first[0]);
+                let mut comparisons = 0u64;
+                let all_same = values[1..].iter().all(|row| {
+                    comparisons += 1;
+                    row[0] == first[0]
+                });
+                metrics.record_comparisons(Phase::Collection, comparisons);
                 match (step.quantifier, all_same) {
                     // ALL with '=': equal to two different values is impossible.
                     (Quantifier::All, false) => (Vec::new(), Some(false)),
@@ -508,14 +656,14 @@ fn build_derived_check(
     metrics.record_intermediate(Phase::Collection, stored as u64);
     metrics.record_structure_size(&step.produces, stored as u64);
 
-    Ok(DerivedCheck {
-        target_var: step.target_var.clone(),
-        quantifier: step.quantifier,
-        links: step.links.clone(),
+    Ok(DerivedCheck::new(
+        step.target_var.clone(),
+        step.quantifier,
+        step.links.clone(),
         values,
         constant,
-        stored_values: stored,
-    })
+        target_indices,
+    ))
 }
 
 /// Runs the collection phase for a plan.
@@ -590,9 +738,17 @@ pub fn run_collection(
     // Strategy 4 value lists (must run before the per-conjunction single
     // lists so their derived predicates can restrict them).
     let mut derived: Vec<DerivedCheck> = Vec::new();
-    for step in &plan.semijoin_steps {
+    for (step, info) in plan.semijoin_steps.iter().zip(&step_infos) {
         let _span = pascalr_obs::span!("collect_derived", var = step.bound_var.as_ref());
-        let check = build_derived_check(step, &derived, reader, metrics)?;
+        // A step targets a combination-phase variable or the bound variable
+        // of a later step that consumes it.
+        let target = var_info
+            .get(step.target_var.as_ref())
+            .or_else(|| step_infos.iter().find(|i| i.var == step.target_var))
+            .ok_or_else(|| ExecError::PlanInvariant {
+                detail: format!("target variable {} has no range", step.target_var),
+            })?;
+        let check = build_derived_check(step, info, &target.schema, &derived, reader, metrics)?;
         derived.push(check);
     }
 
@@ -639,14 +795,7 @@ pub fn run_collection(
                         break;
                     }
                 }
-                if keep {
-                    for c in &checks {
-                        if !c.satisfied(tuple, &info.schema, metrics)? {
-                            keep = false;
-                            break;
-                        }
-                    }
-                }
+                keep = keep && checks.iter().all(|c| c.satisfied(tuple, metrics));
                 if keep {
                     list.push(r);
                 }
@@ -824,8 +973,14 @@ pub fn run_collection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::plan_and_execute;
+    use pascalr_catalog::CatalogSnapshot;
     use pascalr_planner::{plan, PlanOptions, StrategyLevel};
-    use pascalr_workload::{figure1_sample_database, query_by_id};
+    use pascalr_relation::EnumType;
+    use pascalr_workload::{
+        figure1_sample_database, generate, oracle_eval, query_by_id, UniversityConfig,
+    };
+    use proptest::prelude::*;
 
     fn collect(query: &str, level: StrategyLevel) -> (QueryPlan, CollectionOutput, Metrics) {
         let cat = figure1_sample_database().unwrap();
@@ -946,6 +1101,156 @@ mod tests {
             .per_conjunction
             .iter()
             .any(|c| !c.indirect_joins.is_empty()));
+    }
+
+    /// q02 (`SOME =`), q03 and q10 (`ALL <>`) evaluate their quantifier
+    /// through the hashed forms: right at scale 1, and at scale 24 with
+    /// comparisons linear in the ranges the plan reads — a list compared
+    /// row by row makes them quadratic.
+    #[test]
+    fn hashed_value_lists_keep_strategy4_comparisons_linear() {
+        let s4 = StrategyLevel::S4CollectionQuantifiers;
+        let small = CatalogSnapshot::new(generate(&UniversityConfig::at_scale(1)).unwrap());
+        let large = CatalogSnapshot::new(generate(&UniversityConfig::at_scale(24)).unwrap());
+        for id in ["q02", "q03", "q10"] {
+            let spec = query_by_id(id).unwrap();
+            let sel = spec.parse(&small).unwrap();
+            let p = plan(&sel, &small, s4, PlanOptions::default());
+            let out = run_collection(&p, &small, &Metrics::new()).unwrap();
+            assert!(
+                out.derived.iter().any(DerivedCheck::is_hashed),
+                "{id} takes a hashed form"
+            );
+            let (_, result) =
+                plan_and_execute(&sel, &small, s4, PlanOptions::default(), &Metrics::new())
+                    .unwrap();
+            assert!(
+                oracle_eval(&sel, &small).unwrap().set_eq(&result.relation),
+                "{id} disagrees with the oracle"
+            );
+
+            let sel = spec.parse(&large).unwrap();
+            let metrics = Metrics::new();
+            let (p, _) =
+                plan_and_execute(&sel, &large, s4, PlanOptions::default(), &metrics).unwrap();
+            let ranges = p.prepared.all_vars();
+            let ranges = ranges
+                .iter()
+                .filter_map(|v| p.prepared.range_of(v))
+                .chain(p.semijoin_steps.iter().map(|s| &s.range));
+            let read: u64 = ranges
+                .map(|r| large.relation(&r.relation).unwrap().cardinality() as u64)
+                .sum();
+            let comparisons = metrics.snapshot().total().comparisons;
+            assert!(
+                comparisons <= 2 * read,
+                "{id}: {comparisons} comparisons over {read} range elements"
+            );
+        }
+    }
+
+    /// A value of kind `kind`: an integer, a string, or a value of one of
+    /// two enumeration types that do not compare with each other.
+    fn sample_value(kind: u8, n: u32) -> Value {
+        match kind {
+            0 => Value::int(i64::from(n)),
+            1 => Value::str(["a", "b", "c", "d"][n as usize]),
+            2 => EnumType::new("leveltype", ["freshman", "sophomore", "junior", "senior"])
+                .value_at(n)
+                .unwrap(),
+            _ => EnumType::new(
+                "statustype",
+                ["student", "technician", "assistant", "professor"],
+            )
+            .value_at(n)
+            .unwrap(),
+        }
+    }
+
+    /// A cell: with probability `1/one_in` of a random kind, otherwise of
+    /// its column's kind.
+    fn cell(one_in: u8) -> impl Strategy<Value = (bool, u8, u32)> {
+        (0..one_in, 0u8..4, 0u32..4).prop_map(|(d, kind, n)| (d == 0, kind, n))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every operator under both quantifiers, plus a mixed-operator
+        /// draw, over 1–3 links and lists of 0–40 rows: the check the
+        /// collection phase builds answers exactly as the linear scan, on
+        /// incomparable components too, and is hashed wherever a hashed
+        /// form applies.
+        #[test]
+        fn hashed_value_lists_agree_with_the_linear_scan(
+            n_links in 1usize..4,
+            col_kinds in proptest::collection::vec(0u8..4, 3),
+            stray_rows in any::<bool>(),
+            rows in proptest::collection::vec(proptest::collection::vec(cell(8), 3), 0..41),
+            target in proptest::collection::vec(cell(3), 3),
+            mixed in proptest::collection::vec(0usize..6, 3),
+        ) {
+            let value = |col: usize, &(stray, kind, n): &(bool, u8, u32)| {
+                sample_value(if stray { kind } else { col_kinds[col] }, n)
+            };
+            // Half the lists keep every column to one kind.
+            let row_value = |col: usize, &(stray, kind, n): &(bool, u8, u32)| {
+                value(col, &(stray && stray_rows, kind, n))
+            };
+            let values: Vec<Box<[Value]>> = rows
+                .iter()
+                .map(|row| (0..n_links).map(|c| row_value(c, &row[c])).collect())
+                .collect();
+            // Link j reads target component n_links - 1 - j.
+            let target_indices: Box<[usize]> = (0..n_links).rev().collect();
+            let mut components: Vec<Value> = (0..3).map(|c| value(c, &target[c])).collect();
+            components[..n_links].reverse();
+            let tuple = Tuple::new(components);
+            let metrics = Metrics::new();
+            let uniform_kinds = (0..n_links).all(|c| {
+                values.iter().all(|row| values[0][c].try_compare(&row[c]).is_ok())
+            });
+            let mixed: Vec<CompareOp> = mixed[..n_links].iter().map(|&i| CompareOp::ALL[i]).collect();
+            let mut op_sets: Vec<Vec<CompareOp>> =
+                CompareOp::ALL.iter().map(|&op| vec![op; n_links]).collect();
+            op_sets.push(mixed);
+            for quantifier in [Quantifier::Some, Quantifier::All] {
+                for ops in &op_sets {
+                    let links = ops
+                        .iter()
+                        .map(|&op| DyadicLink {
+                            target_attr: Arc::from("a"),
+                            op,
+                            bound_attr: Arc::from("b"),
+                        })
+                        .collect();
+                    let check = DerivedCheck::new(
+                        VarName::from("x"),
+                        quantifier,
+                        links,
+                        values.clone(),
+                        None,
+                        target_indices.clone(),
+                    );
+                    let reference = DerivedCheck { form: ListForm::Linear, ..check.clone() };
+                    prop_assert_eq!(
+                        check.satisfied(&tuple, &metrics),
+                        reference.satisfied(&tuple, &metrics),
+                        "{:?} {:?} over {:?} at {:?}",
+                        quantifier,
+                        ops,
+                        values,
+                        tuple
+                    );
+                    let every = |op| ops.iter().all(|&o| o == op);
+                    let hashable = match quantifier {
+                        Quantifier::Some => every(CompareOp::Eq),
+                        Quantifier::All => every(CompareOp::Ne) && uniform_kinds,
+                    };
+                    prop_assert_eq!(check.is_hashed(), hashable && !values.is_empty());
+                }
+            }
+        }
     }
 
     #[test]
