@@ -135,11 +135,16 @@ impl fmt::Debug for MaintainedIndex {
 /// `Catalog::clone` is **cheap**: relation variables live behind [`Arc`]s,
 /// so a clone shares every relation's element storage with the original.
 /// Mutating entry points ([`Catalog::relation_mut`], [`Catalog::insert`],
-/// ...) unshare only the relation they touch (via [`Arc::make_mut`]),
-/// leaving all other relations shared.  This is what makes the snapshot
-/// architecture work: a writer clones the current version, mutates its
-/// private copy, and publishes it, while pinned [`CatalogSnapshot`]
-/// readers keep streaming from the old version untouched.
+/// ...) unshare the relation they touch (via [`Arc::make_mut`]), and that
+/// copy is itself shallow: a [`Relation`] keeps its rows in fixed-size
+/// segments and its key index in hash shards, each behind its own `Arc`,
+/// so copying it copies one pointer per piece and the write then unshares
+/// only the segment and shard it lands in.  A maintained permanent
+/// [`HashIndex`] is sharded the same way.  A commit therefore costs
+/// O(Δ), not O(|relation|).  This is what makes the snapshot architecture
+/// work: a writer clones the current version, mutates its private copy,
+/// and publishes it, while pinned [`CatalogSnapshot`] readers keep
+/// streaming from the old version untouched.
 ///
 /// [`CatalogSnapshot`]: crate::CatalogSnapshot
 #[derive(Debug, Clone, Default)]
@@ -262,9 +267,11 @@ impl Catalog {
     /// [`Catalog::insert`] / [`Catalog::insert_all`] maintain the indexes
     /// incrementally instead and never stale them.)
     ///
-    /// Copy-on-write: if the relation's storage is shared with another
-    /// catalog version (a pinned snapshot or a fork), this unshares it —
-    /// the other version keeps the unmodified element set.
+    /// Copy-on-write: if the relation is shared with another catalog
+    /// version (a pinned snapshot or a fork), this gives the caller its own
+    /// shallow copy, and each later write unshares only the segment or key
+    /// shard it touches — the other version keeps the unmodified element
+    /// set.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation, CatalogError> {
         let id = self.relation_id(name)?;
         self.epoch += 1;

@@ -326,7 +326,6 @@ pub fn encode_checkpoint(catalog: &Catalog) -> (Vec<u8>, Vec<RelationRecords>) {
         if named {
             let records = rel
                 .slots()
-                .iter()
                 .map(|slot| {
                     let mut re = Enc::new();
                     match slot {

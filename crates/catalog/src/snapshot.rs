@@ -358,6 +358,41 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_unshares_one_permanent_index_shard() {
+        let mut cat = Catalog::new();
+        let schema = RelationSchema::new(
+            "grouped",
+            vec![
+                Attribute::new("n", ValueType::int()),
+                Attribute::new("g", ValueType::int()),
+            ],
+            &["n"],
+        )
+        .unwrap();
+        cat.declare_relation(schema).unwrap();
+        let row = |n: i64| Tuple::new(vec![Value::int(n), Value::int(n % 2_500)]);
+        cat.insert_all("grouped", (0..5_000).map(row)).unwrap();
+        cat.declare_index("ind_g", "grouped", &["g"]).unwrap();
+        let cell = VersionedCatalog::new(cat);
+
+        let before = cell.snapshot();
+        cell.mutate(|c| c.insert("grouped", row(5_000)).unwrap());
+        let after = cell.snapshot();
+
+        let old = before.permanent_index("grouped", &["g"]).unwrap();
+        let new = after.permanent_index("grouped", &["g"]).unwrap();
+        assert!(!old.rebuilt && !new.rebuilt, "maintained, not rebuilt");
+        assert!(!Arc::ptr_eq(&old.index, &new.index));
+        let shards = old.index.shard_count();
+        assert!(shards > 8);
+        assert_eq!(new.index.shards_shared_with(&old.index), shards - 1);
+        assert_eq!(old.index.entry_count(), 5_000);
+        assert_eq!(new.index.entry_count(), 5_001);
+        assert_eq!(old.index.probe_value(&Value::int(0)).len(), 2);
+        assert_eq!(new.index.probe_value(&Value::int(0)).len(), 3);
+    }
+
+    #[test]
     fn snapshots_are_stable_across_publications() {
         let cell = VersionedCatalog::new(catalog_with_numbers(&[1, 2]));
         let pinned = cell.snapshot();

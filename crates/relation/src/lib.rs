@@ -28,6 +28,8 @@ pub mod index;
 pub mod refs;
 pub mod relation;
 pub mod schema;
+mod segments;
+mod shards;
 pub mod tuple;
 pub mod value;
 

@@ -13,14 +13,26 @@
 //! Row slots are never reused while an element is live, and deleting an
 //! element leaves a tombstone so that dangling references are detected
 //! rather than silently resolving to a different element.
+//!
+//! # Structural sharing
+//!
+//! A relation is stored in pieces that versions share: row slots in
+//! fixed-size segments and the key index (key hash → [`RowId`], the key
+//! itself read back from the row) in hash shards, each piece behind its
+//! own [`Arc`].  Cloning a relation copies one `Arc` per piece, and a
+//! write unshares only the piece it touches — an insert the tail segment
+//! and one key shard, a deletion the tombstoned row's segment and one key
+//! shard.  A catalog commit therefore costs O(Δ), not O(|relation|), and a
+//! [`RowId`] addresses the same slot in every version.
 
 use pascalr_sync::Arc;
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::RelationError;
 use crate::refs::{ElemRef, RelId, RowId};
 use crate::schema::{Key, RelationSchema};
+use crate::segments::Segments;
+use crate::shards::ShardedMap;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -53,22 +65,21 @@ impl InsertOutcome {
 pub struct Relation {
     schema: Arc<RelationSchema>,
     id: RelId,
-    rows: Vec<Option<Tuple>>,
-    key_index: HashMap<Key, RowId>,
+    rows: Segments,
+    key_index: ShardedMap<RowId>,
     live: usize,
+}
+
+/// Whether `tuple`'s components at `key_cols` equal `key`.
+fn key_matches(key_cols: &[usize], key: &[Value], tuple: &Tuple) -> bool {
+    key_cols.len() == key.len() && key_cols.iter().zip(key).all(|(&c, v)| tuple.get(c) == v)
 }
 
 impl Relation {
     /// Creates an empty relation with the given schema, not registered in
     /// any catalog (`RelId::DETACHED`).
     pub fn new(schema: Arc<RelationSchema>) -> Self {
-        Relation {
-            schema,
-            id: RelId::DETACHED,
-            rows: Vec::new(),
-            key_index: HashMap::new(),
-            live: 0,
-        }
+        Relation::with_id(schema, RelId::DETACHED)
     }
 
     /// Creates an empty relation registered under `id` (used by the catalog).
@@ -76,8 +87,8 @@ impl Relation {
         Relation {
             schema,
             id,
-            rows: Vec::new(),
-            key_index: HashMap::new(),
+            rows: Segments::default(),
+            key_index: ShardedMap::default(),
             live: 0,
         }
     }
@@ -109,34 +120,62 @@ impl Relation {
         id: RelId,
         slots: Vec<Option<Tuple>>,
     ) -> Result<Self, RelationError> {
-        let mut key_index = HashMap::new();
-        let mut live = 0;
-        for (i, slot) in slots.iter().enumerate() {
-            let Some(tuple) = slot else { continue };
-            schema.check_tuple(tuple)?;
-            let key = schema.key_of(tuple);
-            if key_index.insert(key, RowId(i as u32)).is_some() {
-                return Err(RelationError::KeyViolation {
-                    relation: schema.name.to_string(),
-                    key: schema.key_of(tuple).to_string(),
-                });
+        let mut rel = Relation::with_id(schema, id);
+        rel.rows = Segments::from_slots(slots);
+        for (row, tuple) in rel.rows.live() {
+            rel.schema.check_tuple(tuple)?;
+            let hash = rel.key_hash(tuple);
+            if rel.find_tuple(hash, tuple).is_some() {
+                return Err(rel.key_violation(tuple));
             }
-            live += 1;
+            rel.key_index.insert_new(hash, row);
+            rel.live += 1;
         }
-        Ok(Relation {
-            schema,
-            id,
-            rows: slots,
-            key_index,
-            live,
-        })
+        Ok(rel)
     }
 
     /// The exact slot image (live tuples and `None` tombstones) in
     /// [`RowId`] order — the inverse of [`Relation::from_slots`], used
     /// when the storage backend checkpoints this relation.
-    pub fn slots(&self) -> &[Option<Tuple>] {
-        &self.rows
+    pub fn slots(&self) -> impl Iterator<Item = Option<&Tuple>> + '_ {
+        self.rows.slots()
+    }
+
+    /// The hash of `tuple`'s key components.
+    fn key_hash(&self, tuple: &Tuple) -> u64 {
+        self.key_index
+            .hash(self.schema.key.iter().map(|&c| tuple.get(c)))
+    }
+
+    /// The row of the live element whose key hashes to `hash` and passes
+    /// `is_key`.  The index stores no keys: candidates are checked against
+    /// the rows themselves.
+    fn find(&self, hash: u64, is_key: impl Fn(&Tuple) -> bool) -> Option<RowId> {
+        let rows = &self.rows;
+        self.key_index
+            .get(hash, |&row| rows.get(row).is_some_and(&is_key))
+            .copied()
+    }
+
+    /// The row of the live element with the same key as `tuple`.
+    fn find_tuple(&self, hash: u64, tuple: &Tuple) -> Option<RowId> {
+        let key_cols = &self.schema.key;
+        self.find(hash, |t| key_cols.iter().all(|&c| t.get(c) == tuple.get(c)))
+    }
+
+    /// The row of the live element with key `key`.
+    fn find_key(&self, key: &Key) -> Option<RowId> {
+        let key_cols = &self.schema.key;
+        self.find(self.key_index.hash(key.values()), |t| {
+            key_matches(key_cols, key.values(), t)
+        })
+    }
+
+    fn key_violation(&self, tuple: &Tuple) -> RelationError {
+        RelationError::KeyViolation {
+            relation: self.schema.name.to_string(),
+            key: self.schema.key_of(tuple).to_string(),
+        }
     }
 
     /// The schema of this relation.
@@ -183,24 +222,15 @@ impl Relation {
     ///   present, a [`RelationError::KeyViolation`] is returned.
     pub fn insert(&mut self, tuple: Tuple) -> Result<InsertOutcome, RelationError> {
         self.schema.check_tuple(&tuple)?;
-        let key = self.schema.key_of(&tuple);
-        if let Some(&row) = self.key_index.get(&key) {
-            let Some(existing) = self.rows[row.0 as usize].as_ref() else {
-                // Deletion removes the key-index entry in the same step that
-                // tombstones the row, so an entry never points at a tombstone.
-                unreachable!("key index points at live row");
-            };
-            if *existing == tuple {
+        let hash = self.key_hash(&tuple);
+        if let Some(row) = self.find_tuple(hash, &tuple) {
+            if self.rows.get(row) == Some(&tuple) {
                 return Ok(InsertOutcome::AlreadyPresent(ElemRef::new(self.id, row)));
             }
-            return Err(RelationError::KeyViolation {
-                relation: self.schema.name.to_string(),
-                key: key.to_string(),
-            });
+            return Err(self.key_violation(&tuple));
         }
-        let row = RowId(self.rows.len() as u32);
-        self.rows.push(Some(tuple));
-        self.key_index.insert(key, row);
+        let row = self.rows.push(tuple);
+        self.key_index.insert_new(hash, row);
         self.live += 1;
         Ok(InsertOutcome::Inserted(ElemRef::new(self.id, row)))
     }
@@ -223,34 +253,33 @@ impl Relation {
     ///
     /// Returns `true` if an element was removed.
     pub fn delete_key(&mut self, key: &Key) -> bool {
-        if let Some(row) = self.key_index.remove(key) {
-            self.rows[row.0 as usize] = None;
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
+        let (rows, key_cols) = (&self.rows, &self.schema.key);
+        let hash = self.key_index.hash(key.values());
+        let removed = self.key_index.remove(hash, |&row| {
+            rows.get(row)
+                .is_some_and(|t| key_matches(key_cols, key.values(), t))
+        });
+        let Some(row) = removed else { return false };
+        self.rows.tombstone(row);
+        self.live -= 1;
+        true
     }
 
     /// Removes all elements, keeping the schema.
     pub fn clear(&mut self) {
-        self.rows.clear();
-        self.key_index.clear();
+        self.rows = Segments::default();
+        self.key_index = ShardedMap::default();
         self.live = 0;
     }
 
     /// The key-oriented selector `rel[keyval]`: the element with key `key`.
     pub fn select_by_key(&self, key: &Key) -> Option<&Tuple> {
-        self.key_index
-            .get(key)
-            .and_then(|row| self.rows[row.0 as usize].as_ref())
+        self.find_key(key).and_then(|row| self.rows.get(row))
     }
 
     /// The reference `@rel[keyval]` to the element with key `key`.
     pub fn ref_by_key(&self, key: &Key) -> Option<ElemRef> {
-        self.key_index
-            .get(key)
-            .map(|&row| ElemRef::new(self.id, row))
+        self.find_key(key).map(|row| ElemRef::new(self.id, row))
     }
 
     /// Dereferences an element reference produced by this relation.
@@ -267,8 +296,7 @@ impl Relation {
             });
         }
         self.rows
-            .get(elem_ref.row.0 as usize)
-            .and_then(|slot| slot.as_ref())
+            .get(elem_ref.row)
             .ok_or_else(|| RelationError::DanglingReference {
                 detail: format!(
                     "reference {elem_ref} in relation {} points at a deleted element",
@@ -280,22 +308,21 @@ impl Relation {
     /// The tuple stored at a row slot, if live (id-agnostic variant of
     /// [`Relation::deref`] used by detached intermediate relations).
     pub fn row(&self, row: RowId) -> Option<&Tuple> {
-        self.rows.get(row.0 as usize).and_then(|slot| slot.as_ref())
+        self.rows.get(row)
     }
 
     /// Iterates over `(reference, element)` pairs in insertion order
     /// (`FOR EACH r IN rel`).
     pub fn iter(&self) -> impl Iterator<Item = (ElemRef, &Tuple)> + '_ {
         let id = self.id;
-        self.rows.iter().enumerate().filter_map(move |(i, slot)| {
-            slot.as_ref()
-                .map(|t| (ElemRef::new(id, RowId(i as u32)), t))
-        })
+        self.rows
+            .live()
+            .map(move |(row, t)| (ElemRef::new(id, row), t))
     }
 
     /// Iterates over the elements only.
     pub fn tuples(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.rows.iter().filter_map(|slot| slot.as_ref())
+        self.rows.live().map(|(_, t)| t)
     }
 
     /// Collects the elements into a vector (mostly for tests and display).
@@ -305,8 +332,7 @@ impl Relation {
 
     /// Whether an identical element is present.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        let key = self.schema.key_of(tuple);
-        self.select_by_key(&key).is_some_and(|t| t == tuple)
+        self.contains_compatible(tuple)
     }
 
     /// Reads the named component of the element referenced by `elem_ref`.
@@ -330,8 +356,12 @@ impl Relation {
     fn contains_compatible(&self, tuple: &Tuple) -> bool {
         // `tuple` comes from a union-compatible relation; compare on key
         // extracted through *our* schema.
-        let key = self.schema.key_of(tuple);
-        self.select_by_key(&key).is_some_and(|t| t == tuple)
+        if tuple.arity() != self.schema.arity() {
+            return false;
+        }
+        self.find_tuple(self.key_hash(tuple), tuple)
+            .and_then(|row| self.rows.get(row))
+            .is_some_and(|t| t == tuple)
     }
 
     /// Replaces the whole element set by that of `other` (PASCAL/R relation
@@ -383,7 +413,10 @@ impl fmt::Display for Relation {
 mod tests {
     use super::*;
     use crate::schema::Attribute;
+    use crate::shards::test_hooks::with_truncated_hashes;
     use crate::value::{EnumType, ValueType};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn employees() -> Relation {
         let status = EnumType::new(
@@ -554,7 +587,7 @@ mod tests {
         let mut rel = employees();
         let key = rel.schema().make_key(vec![Value::int(10)]).unwrap();
         assert!(rel.delete_key(&key));
-        let slots = rel.slots().to_vec();
+        let slots: Vec<_> = rel.slots().map(Option::<&Tuple>::cloned).collect();
         let restored = Relation::from_slots(rel.schema().clone(), rel.id(), slots).unwrap();
         assert_eq!(restored.cardinality(), 1);
         assert_eq!(restored.slot_count(), 2);
@@ -571,8 +604,8 @@ mod tests {
     #[test]
     fn from_slots_rejects_duplicate_keys_and_bad_tuples() {
         let rel = employees();
-        let dup = rel.slots()[0].clone();
-        let slots = vec![rel.slots()[0].clone(), dup];
+        let first = rel.slots().next().flatten().cloned();
+        let slots = vec![first.clone(), first];
         assert!(Relation::from_slots(rel.schema().clone(), rel.id(), slots).is_err());
         let bad = vec![Some(Tuple::new(vec![Value::int(1)]))];
         assert!(Relation::from_slots(rel.schema().clone(), rel.id(), bad).is_err());
@@ -585,5 +618,287 @@ mod tests {
         assert!(s.contains("employees (2 element(s))"));
         assert!(s.contains("enr | ename | estatus"));
         assert!(s.contains("'Abel'"));
+    }
+
+    /// A two-column relation `<n: int, tag: string>` keyed on `n`.
+    fn numbered(id: u32) -> Relation {
+        let schema = RelationSchema::new(
+            "numbered",
+            vec![
+                Attribute::new("n", ValueType::int()),
+                Attribute::new("tag", ValueType::string(12)),
+            ],
+            &["n"],
+        )
+        .unwrap();
+        Relation::with_id(schema, RelId(id))
+    }
+
+    fn numbered_tuple(n: i64) -> Tuple {
+        Tuple::new(vec![Value::int(n), Value::str(format!("t{n}"))])
+    }
+
+    fn shared<T: ?Sized>(a: &[Arc<T>], b: &[Arc<T>]) -> usize {
+        a.iter().zip(b).filter(|(x, y)| Arc::ptr_eq(x, y)).count()
+    }
+
+    #[test]
+    fn a_write_to_a_clone_unshares_one_segment_and_one_key_shard() {
+        let mut left = numbered(3);
+        for n in 0..10_000 {
+            left.insert(numbered_tuple(n)).unwrap();
+        }
+        let original = left.clone();
+        let mut right = left.clone();
+        let segments = original.rows.segments().len();
+        let shards = original.key_index.shard_count();
+        assert!(segments > 100 && shards > 32);
+
+        assert!(right.insert(numbered_tuple(10_000)).unwrap().was_inserted());
+        assert!(left.delete_key(&Key::single(5_000i64)));
+
+        for (side, rel) in [("left", &left), ("right", &right)] {
+            assert_eq!(
+                shared(original.rows.segments(), rel.rows.segments()),
+                segments - 1,
+                "{side}: exactly one segment unshared"
+            );
+            assert_eq!(
+                original.key_index.shared_shards(&rel.key_index),
+                shards - 1,
+                "{side}: exactly one key shard unshared"
+            );
+        }
+
+        // Each side reads exactly its own rows; the original is untouched.
+        let keys = |rel: &Relation| -> Vec<i64> {
+            rel.tuples().map(|t| t.get(0).as_int().unwrap()).collect()
+        };
+        assert_eq!(keys(&original), (0..10_000).collect::<Vec<_>>());
+        assert_eq!(
+            keys(&left),
+            (0..10_000).filter(|&n| n != 5_000).collect::<Vec<_>>()
+        );
+        assert_eq!(keys(&right), (0..=10_000).collect::<Vec<_>>());
+        let k5000 = Key::single(5_000i64);
+        let k10000 = Key::single(10_000i64);
+        assert!(left.select_by_key(&k5000).is_none());
+        assert!(left.select_by_key(&k10000).is_none());
+        assert_eq!(right.select_by_key(&k5000), Some(&numbered_tuple(5_000)));
+        assert_eq!(
+            right.ref_by_key(&k10000),
+            Some(ElemRef::new(RelId(3), RowId(10_000)))
+        );
+        assert_eq!(original.cardinality(), 10_000);
+        assert_eq!((left.cardinality(), right.cardinality()), (9_999, 10_001));
+    }
+
+    #[test]
+    fn tiny_relations_allocate_a_small_first_segment() {
+        let mut rel = numbered(0);
+        rel.insert(numbered_tuple(1)).unwrap();
+        assert!(rel.rows.segments()[0].len() < 64);
+        assert_eq!(rel.key_index.shard_count(), 1);
+        for n in 2..=65 {
+            rel.insert(numbered_tuple(n)).unwrap();
+        }
+        assert_eq!(rel.rows.segments().len(), 2);
+        assert_eq!(rel.rows.segments()[0].len(), 64);
+        assert_eq!(rel.row(RowId(63)), Some(&numbered_tuple(64)));
+    }
+
+    /// The relation semantics every storage layout must reproduce: a flat
+    /// slot vector plus a map from owned keys to rows.
+    #[derive(Clone, Default)]
+    struct Model {
+        slots: Vec<Option<Tuple>>,
+        keys: HashMap<Key, RowId>,
+    }
+
+    impl Model {
+        fn insert(&mut self, rel: &Relation, t: Tuple) -> Result<InsertOutcome, ()> {
+            let key = rel.schema().key_of(&t);
+            if let Some(&row) = self.keys.get(&key) {
+                return if self.slots[row.0 as usize].as_ref() == Some(&t) {
+                    Ok(InsertOutcome::AlreadyPresent(ElemRef::new(rel.id(), row)))
+                } else {
+                    Err(())
+                };
+            }
+            let row = RowId(self.slots.len() as u32);
+            self.slots.push(Some(t));
+            self.keys.insert(key, row);
+            Ok(InsertOutcome::Inserted(ElemRef::new(rel.id(), row)))
+        }
+
+        fn delete(&mut self, key: &Key) -> bool {
+            let Some(row) = self.keys.remove(key) else {
+                return false;
+            };
+            self.slots[row.0 as usize] = None;
+            true
+        }
+
+        /// The live elements in row order.
+        fn live(&self) -> Vec<(RowId, Tuple)> {
+            let mut live: Vec<_> = self
+                .keys
+                .values()
+                .map(|&r| (r, self.slots[r.0 as usize].clone().unwrap()))
+                .collect();
+            live.sort_by_key(|(r, _)| *r);
+            live
+        }
+    }
+
+    /// Composite-key schema `<k: int, c: string> -> p: string`.
+    fn model_schema() -> Arc<RelationSchema> {
+        RelationSchema::new(
+            "modelled",
+            vec![
+                Attribute::new("k", ValueType::int()),
+                Attribute::new("c", ValueType::string(4)),
+                Attribute::new("p", ValueType::string(4)),
+            ],
+            &["k", "c"],
+        )
+        .unwrap()
+    }
+
+    fn model_key(k: u8) -> Key {
+        Key::new(vec![
+            Value::int(i64::from(k / 2)),
+            Value::str(["x", "y"][k as usize % 2]),
+        ])
+    }
+
+    fn model_tuple(k: u8, p: u8) -> Tuple {
+        let mut values = model_key(k).values().to_vec();
+        values.push(Value::str(format!("p{p}")));
+        Tuple::new(values)
+    }
+
+    /// Asserts that `rel` shows exactly the state of `model`.
+    fn assert_matches_model(rel: &Relation, model: &Model) {
+        let slots: Vec<Option<Tuple>> = rel.slots().map(Option::<&Tuple>::cloned).collect();
+        assert_eq!(slots, model.slots, "slot image");
+        assert_eq!(rel.slot_count(), model.slots.len());
+        assert_eq!(rel.cardinality(), model.keys.len());
+        let iterated: Vec<(ElemRef, Tuple)> = rel.iter().map(|(r, t)| (r, t.clone())).collect();
+        let expected: Vec<(ElemRef, Tuple)> = model
+            .live()
+            .into_iter()
+            .map(|(r, t)| (ElemRef::new(rel.id(), r), t))
+            .collect();
+        assert_eq!(iterated, expected, "iteration order");
+        for k in 0..KEYS {
+            let key = model_key(k);
+            let row = model.keys.get(&key).copied();
+            assert_eq!(rel.ref_by_key(&key), row.map(|r| ElemRef::new(rel.id(), r)));
+            assert_eq!(
+                rel.select_by_key(&key),
+                row.and_then(|r| model.slots[r.0 as usize].as_ref())
+            );
+        }
+    }
+
+    /// Distinct keys the generated operations draw from.
+    const KEYS: u8 = 24;
+
+    /// One generated step: `(kind, key, payload, side)`.
+    type Step = (u8, u8, u8, bool);
+
+    fn run_model(steps: &[Step]) {
+        let mut rel = Relation::with_id(model_schema(), RelId(5));
+        let mut model = Model::default();
+        // Versions set aside by a clone step, with the state each must keep.
+        let mut frozen: Vec<(Relation, Model)> = Vec::new();
+        for &(kind, k, p, side) in steps {
+            let live = model.live();
+            let t = match kind {
+                // A duplicate of a live element, or of a fresh one.
+                2 if !live.is_empty() => live[k as usize % live.len()].1.clone(),
+                // A different element under a live key.
+                3 if !live.is_empty() => {
+                    let mut values = live[k as usize % live.len()].1.values().to_vec();
+                    values[2] = Value::str("zz");
+                    Tuple::new(values)
+                }
+                _ => model_tuple(k, p),
+            };
+            if kind == 4 {
+                let key = model_key(k);
+                assert_eq!(rel.delete_key(&key), model.delete(&key));
+            } else {
+                if kind == 5 {
+                    // Clone, then mutate one side: the other must not move.
+                    let mut copy = rel.clone();
+                    if side {
+                        std::mem::swap(&mut rel, &mut copy);
+                    }
+                    frozen.push((copy, model.clone()));
+                }
+                let expected = model.insert(&rel, t.clone());
+                match (rel.insert(t), expected) {
+                    (Ok(got), Ok(want)) => assert_eq!(got, want),
+                    (Err(RelationError::KeyViolation { .. }), Err(())) => {}
+                    (got, want) => panic!("insert: got {got:?}, model says {want:?}"),
+                }
+            }
+            assert_matches_model(&rel, &model);
+        }
+        for (copy, state) in &frozen {
+            assert_matches_model(copy, state);
+        }
+
+        // The slot image round-trips through `from_slots` ...
+        let image: Vec<Option<Tuple>> = rel.slots().map(Option::<&Tuple>::cloned).collect();
+        let restored = Relation::from_slots(rel.schema().clone(), rel.id(), image.clone()).unwrap();
+        assert_matches_model(&restored, &model);
+        // ... and an image holding a live key twice is rejected.
+        if let Some((_, t)) = model.live().first() {
+            let mut values = t.values().to_vec();
+            values[2] = Value::str("dup");
+            let mut bad = image;
+            bad.push(Some(Tuple::new(values)));
+            assert!(matches!(
+                Relation::from_slots(rel.schema().clone(), rel.id(), bad),
+                Err(RelationError::KeyViolation { .. })
+            ));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random inserts, duplicate inserts, key-violating inserts,
+        /// deletions and clone-then-mutate steps agree with the flat
+        /// reference model — with full hashes, and with hashes cut to
+        /// three bits so most keys collide and take the overflow path.
+        #[test]
+        fn relation_matches_the_flat_reference_model(
+            steps in proptest::collection::vec((0u8..6, 0u8..KEYS, 0u8..3, any::<bool>()), 1..120),
+            truncate in any::<bool>(),
+        ) {
+            let bits = if truncate { 3 } else { 64 };
+            with_truncated_hashes(bits, || run_model(&steps));
+        }
+    }
+
+    #[test]
+    fn reference_model_covers_segment_and_shard_growth() {
+        // Deterministic long run past several segments and shard doublings.
+        let steps: Vec<Step> = (0..400u32)
+            .map(|i| {
+                (
+                    (i % 7) as u8 % 6,
+                    (i * 7 % 24) as u8,
+                    (i % 3) as u8,
+                    i % 2 == 0,
+                )
+            })
+            .collect();
+        with_truncated_hashes(3, || run_model(&steps));
+        run_model(&steps);
     }
 }
