@@ -1,4 +1,4 @@
-//! E19 — WAL ingest throughput and redo-recovery cost for the slotted-heap
+//! E19 — WAL ingest throughput and redo-recovery cost for the file
 //! storage backend, on the scale-24 generated workload.
 //!
 //! Ingest: the scale-24 `papers` relation is loaded into a fresh
@@ -10,7 +10,7 @@
 //!
 //! Recovery: a database is killed with its whole load still in the WAL
 //! (no checkpoint); the group then measures a full `open` — meta read,
-//! page load, redo replay of every record, and the compacting
+//! relation blob load, redo replay of every record, and the compacting
 //! checkpoint — from a restored crash image each iteration.
 //!
 //! The preamble prints the WAL volume the load actually generated
@@ -35,7 +35,6 @@ const SINGLES: usize = 300;
 
 fn options() -> HeapOptions {
     HeapOptions {
-        pool_pages: 64,
         fsync: FsyncPolicy::EveryCommit,
     }
 }

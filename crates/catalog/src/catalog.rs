@@ -161,9 +161,6 @@ pub struct Catalog {
     pub(crate) epoch: u64,
     pub(crate) stats_epoch: u64,
     pub(crate) stats_cache: BTreeMap<String, CachedStats>,
-    /// Real per-relation heap page counts, installed by the persistent
-    /// backend at open/checkpoint time; empty on the in-memory backend.
-    pub(crate) real_pages: BTreeMap<String, u64>,
 }
 
 impl Catalog {
@@ -331,7 +328,6 @@ impl Catalog {
         self.by_name.remove(name);
         self.indexes.retain(|mi| mi.decl.relation != name);
         self.stats_cache.remove(name);
-        self.real_pages.remove(name);
         self.relations[id.0 as usize] = Arc::new(Relation::with_id(schema, id));
         self.epoch += 1;
         Ok(())
@@ -646,36 +642,11 @@ impl Catalog {
             .collect()
     }
 
-    /// Number of pages the named relation occupies.
-    ///
-    /// When the persistent backend is active, this is the **real** page
-    /// count of the relation's heap extent as measured at the last
-    /// checkpoint (see [`Catalog::set_real_page_counts`]); otherwise — on
-    /// the in-memory backend, or for tuples inserted since that
-    /// checkpoint — it falls back to the [`PageModel`] estimate.
+    /// Number of pages the named relation occupies under the
+    /// [`PageModel`]: `pages_for(cardinality)`, on every backend.
     pub fn pages_of(&self, relation: &str) -> Result<u64, CatalogError> {
         let rel = self.relation(relation)?;
-        if let Some(&pages) = self.real_pages.get(relation) {
-            return Ok(pages);
-        }
         Ok(self.page_model.pages_for(rel.cardinality() as u64))
-    }
-
-    /// Installs the persistent backend's measured per-relation heap page
-    /// counts and its measured blocking factor, making the backend the one
-    /// source of truth for page-level costing ([`Catalog::pages_of`] and
-    /// [`PageModel::tuples_per_page`]). Called by the engine at open and
-    /// after each checkpoint; never advances the plan epoch on its own —
-    /// callers decide whether re-costing should invalidate cached plans.
-    pub fn set_real_page_counts(
-        &mut self,
-        pages: BTreeMap<String, u64>,
-        tuples_per_page: Option<u64>,
-    ) {
-        self.real_pages = pages;
-        if let Some(bf) = tuples_per_page {
-            self.page_model.tuples_per_page = bf.max(1);
-        }
     }
 }
 

@@ -33,11 +33,11 @@ use crate::error::CatalogError;
 use crate::stats::{ColumnStats, Histogram, RelationStats};
 
 /// Format version of the checkpoint meta payload.
-const META_VERSION: u8 = 1;
+const META_VERSION: u8 = 2;
 
-/// One named relation's slot-image records as exchanged with the storage
-/// backend: the relation name plus one encoded record per row slot.
-pub type RelationRecords = (String, Vec<Vec<u8>>);
+/// One named relation as exchanged with the storage backend: its name and
+/// one blob holding every row slot (see [`encode_checkpoint`]).
+pub type RelationRecords = (String, Vec<u8>);
 
 fn corrupt(detail: impl Into<String>) -> StorageError {
     StorageError::Corrupt {
@@ -88,7 +88,10 @@ fn decode_value(d: &mut Dec<'_>) -> Result<Value, StorageError> {
         3 => {
             let name = d.str()?.to_string();
             let n = d.usize()?;
-            let mut labels = Vec::with_capacity(n);
+            // Each label takes at least its 8-byte length prefix, so a
+            // count past the remaining bytes is corrupt: bound the
+            // reservation by what is left, not by the count.
+            let mut labels = Vec::with_capacity(n.min(d.remaining()));
             for _ in 0..n {
                 labels.push(d.str()?.to_string());
             }
@@ -162,7 +165,7 @@ fn decode_value_type(d: &mut Dec<'_>) -> Result<ValueType, StorageError> {
         3 => {
             let name = d.str()?.to_string();
             let n = d.usize()?;
-            let mut labels = Vec::with_capacity(n);
+            let mut labels = Vec::with_capacity(n.min(d.remaining()));
             for _ in 0..n {
                 labels.push(d.str()?.to_string());
             }
@@ -295,11 +298,10 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<RelationStats, StorageError> {
 /// Encode the full catalog for a checkpoint.
 ///
 /// Returns the opaque meta payload plus, for every *named* relation (in
-/// slot order), its slot-image records: one record per row slot, a
-/// presence byte followed by the tuple. Ghost slots left by
-/// `drop_relation` are always empty, so they live entirely in the meta
-/// payload and the backend's per-relation page accounting stays keyed by
-/// plain relation names.
+/// slot order), one blob: the slot count, then per row slot a presence
+/// byte followed by the tuple. Ghost slots left by `drop_relation` are
+/// always empty, so they live entirely in the meta payload and the
+/// backend's directory stays keyed by plain relation names.
 pub fn encode_checkpoint(catalog: &Catalog) -> (Vec<u8>, Vec<RelationRecords>) {
     let mut e = Enc::new();
     e.u8(META_VERSION);
@@ -324,21 +326,15 @@ pub fn encode_checkpoint(catalog: &Catalog) -> (Vec<u8>, Vec<RelationRecords>) {
         encode_schema(&mut e, rel.schema());
         e.bool(named);
         if named {
-            let records = rel
-                .slots()
-                .map(|slot| {
-                    let mut re = Enc::new();
-                    match slot {
-                        Some(tuple) => {
-                            re.bool(true);
-                            encode_tuple(&mut re, tuple);
-                        }
-                        None => re.bool(false),
-                    }
-                    re.into_bytes()
-                })
-                .collect();
-            relation_records.push((rel.name().to_string(), records));
+            let mut re = Enc::new();
+            re.usize(rel.slot_count());
+            for slot in rel.slots() {
+                re.bool(slot.is_some());
+                if let Some(tuple) = slot {
+                    encode_tuple(&mut re, tuple);
+                }
+            }
+            relation_records.push((rel.name().to_string(), re.into_bytes()));
         }
     }
 
@@ -391,9 +387,9 @@ pub fn decode_checkpoint(
         catalog.types.restore(&name, ty);
     }
 
-    let by_name: BTreeMap<&str, &Vec<Vec<u8>>> = relations
+    let by_name: BTreeMap<&str, &[u8]> = relations
         .iter()
-        .map(|(name, records)| (name.as_str(), records))
+        .map(|(name, blob)| (name.as_str(), blob.as_slice()))
         .collect();
     let n_slots = d.usize()?;
     for slot_idx in 0..n_slots {
@@ -401,24 +397,25 @@ pub fn decode_checkpoint(
         let named = d.bool()?;
         let id = RelId(slot_idx as u32);
         let slots = if named {
-            let records = by_name.get(&*schema.name).ok_or_else(|| {
+            let blob = by_name.get(&*schema.name).ok_or_else(|| {
                 corrupt(format!(
-                    "checkpoint meta names relation {} but no records were recovered for it",
+                    "checkpoint meta names relation {} but no blob was recovered for it",
                     schema.name
                 ))
             })?;
-            let mut slots = Vec::with_capacity(records.len());
-            for record in *records {
-                let mut rd = Dec::new(record);
-                let present = rd.bool()?;
-                let slot = if present {
+            let mut rd = Dec::new(blob);
+            let n = rd.usize()?;
+            // Every slot takes at least its presence byte.
+            let mut slots = Vec::with_capacity(n.min(rd.remaining()));
+            for _ in 0..n {
+                let slot = if rd.bool()? {
                     Some(decode_tuple(&mut rd)?)
                 } else {
                     None
                 };
-                rd.finish()?;
                 slots.push(slot);
             }
+            rd.finish()?;
             slots
         } else {
             Vec::new()
@@ -853,6 +850,23 @@ mod tests {
         assert_eq!(replayed.epoch(), live.epoch());
         assert_eq!(replayed.stats_epoch(), live.stats_epoch());
         assert_eq!(replayed.relation_count(), live.relation_count());
+    }
+
+    #[test]
+    fn absurd_enum_label_counts_are_corruption_not_allocations() {
+        let mut e = Enc::new();
+        e.u8(3);
+        e.str("statustype");
+        e.u64(u64::MAX >> 1);
+        let bytes = e.into_bytes();
+        assert!(matches!(
+            decode_value(&mut Dec::new(&bytes)),
+            Err(StorageError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            decode_value_type(&mut Dec::new(&bytes)),
+            Err(StorageError::Corrupt { .. })
+        ));
     }
 
     #[test]

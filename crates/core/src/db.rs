@@ -2,7 +2,6 @@
 
 use pascalr_sync::atomic::{AtomicBool, Ordering};
 use pascalr_sync::Arc;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
@@ -15,7 +14,7 @@ use pascalr_parser::{parse_database, parse_selection};
 use pascalr_planner::{plan, PlanOptions, QueryPlan, StrategyLevel};
 use pascalr_relation::{RelationSchema, Tuple, Value};
 use pascalr_storage::{
-    DiskFs, HeapOptions, MemoryBackend, Metrics, SlottedHeapBackend, StorageBackend, StorageError,
+    DiskFs, FileBackend, HeapOptions, MemoryBackend, Metrics, StorageBackend, StorageError,
     StorageFs,
 };
 
@@ -68,31 +67,10 @@ fn shared_with_backend(
     }
 }
 
-/// Writes a full checkpoint of `catalog` through `backend` and installs
-/// the backend's measured page counts back into the catalog, making the
-/// real blocking factor the source of truth for page-level costing.
-fn checkpoint_catalog(
-    backend: &dyn StorageBackend,
-    catalog: &mut Catalog,
-) -> Result<(), StorageError> {
+/// Writes a full checkpoint of `catalog` through `backend`.
+fn checkpoint_catalog(backend: &dyn StorageBackend, catalog: &Catalog) -> Result<(), StorageError> {
     let (meta, relations) = encode_checkpoint(catalog);
-    backend.checkpoint(&meta, &relations)?;
-    install_real_pages(backend, catalog);
-    Ok(())
-}
-
-/// Copies the backend's per-relation heap page counts and measured
-/// blocking factor into the catalog (no-op for in-memory backends).
-fn install_real_pages(backend: &dyn StorageBackend, catalog: &mut Catalog) {
-    if !backend.is_persistent() {
-        return;
-    }
-    let pages: BTreeMap<String, u64> = catalog
-        .relation_names()
-        .iter()
-        .filter_map(|n| backend.page_count(n).map(|p| ((*n).to_string(), p)))
-        .collect();
-    catalog.set_real_page_counts(pages, backend.tuples_per_page());
+    backend.checkpoint(&meta, &relations)
 }
 
 /// A PASCAL/R database: catalog plus query machinery.
@@ -211,13 +189,13 @@ impl Database {
 
     /// Opens (or creates) a **persistent** database rooted at `path`.
     ///
-    /// State lives in a slotted-heap backend under the directory: a
-    /// checkpointed page file per generation, a write-ahead log of every
-    /// mutation since, and an atomically-replaced `meta.bin` commit
-    /// point.  Opening replays the redo log over the last checkpoint, so
-    /// the catalog — relations, permanent indexes, ANALYZE statistics and
-    /// both plan epochs — comes back exactly as it was: a reopened
-    /// database serves the same plans without re-ANALYZE.
+    /// State lives in a file backend under the directory: per checkpoint
+    /// generation a data file holding one CRC-framed blob per relation, a
+    /// write-ahead log of every mutation since, and an atomically-replaced
+    /// `meta.bin` commit point.  Opening replays the redo log over the
+    /// last checkpoint, so the catalog — relations, permanent indexes,
+    /// ANALYZE statistics and both plan epochs — comes back exactly as it
+    /// was: a reopened database serves the same plans without re-ANALYZE.
     ///
     /// ```no_run
     /// use pascalr::Database;
@@ -229,8 +207,8 @@ impl Database {
         Database::open_with(path, HeapOptions::default())
     }
 
-    /// [`Database::open`] with explicit storage options (buffer-pool
-    /// capacity, fsync policy).
+    /// [`Database::open`] with explicit storage options: the WAL's
+    /// [`pascalr_storage::FsyncPolicy`].
     pub fn open_with(
         path: impl Into<std::path::PathBuf>,
         options: HeapOptions,
@@ -245,8 +223,7 @@ impl Database {
     /// prefixes.  [`Database::open`] is the `DiskFs` convenience wrapper.
     pub fn open_on(fs: Arc<dyn StorageFs>, options: HeapOptions) -> Result<Self, PascalRError> {
         let obs = DbObs::new();
-        let backend: Arc<SlottedHeapBackend> =
-            Arc::new(SlottedHeapBackend::new(fs, options, obs.storage.clone()));
+        let backend = Arc::new(FileBackend::new(fs, options, obs.storage.clone()));
         let catalog = match backend.open_checkpoint()? {
             Some(data) => {
                 let mut cat = decode_checkpoint(&data.meta, &data.relations)?;
@@ -256,19 +233,16 @@ impl Database {
                 }
                 if replayed || data.torn_tail {
                     // Compact the replayed state into a fresh checkpoint so
-                    // the next recovery starts from it (and the page counts
-                    // below reflect the replayed inserts).
-                    checkpoint_catalog(backend.as_ref(), &mut cat)?;
-                } else {
-                    install_real_pages(backend.as_ref(), &mut cat);
+                    // the next recovery starts from it.
+                    checkpoint_catalog(backend.as_ref(), &cat)?;
                 }
                 cat
             }
             None => {
                 // Fresh database: the backend contract requires a
                 // checkpoint before the first WAL append.
-                let mut cat = Catalog::new();
-                checkpoint_catalog(backend.as_ref(), &mut cat)?;
+                let cat = Catalog::new();
+                checkpoint_catalog(backend.as_ref(), &cat)?;
                 cat
             }
         };
@@ -290,12 +264,12 @@ impl Database {
     }
 
     /// Forces a full checkpoint on a persistent database: every
-    /// relation's tuples are packed into slotted heap pages, the catalog
-    /// metadata (types, schemas, indexes, statistics, epochs) is written
-    /// alongside, the commit point is replaced atomically, and the WAL is
-    /// rotated empty.  Also refreshes the catalog's real page counts, so
-    /// subsequent scans are costed with the measured blocking factor.
-    /// A no-op on in-memory databases.
+    /// relation's tuples are encoded as one CRC-framed blob in the next
+    /// generation's data file, the catalog metadata (types, schemas,
+    /// indexes, statistics, epochs) is written alongside, the commit
+    /// point is replaced atomically, and the WAL is rotated empty.  Runs
+    /// under the writer lock, so no commit interleaves with the WAL
+    /// rotation.  A no-op on in-memory databases.
     pub fn checkpoint(&self) -> Result<(), PascalRError> {
         if !self.persistent() {
             return Ok(());

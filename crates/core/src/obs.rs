@@ -23,7 +23,7 @@ use pascalr_obs::{
     SpanTree,
 };
 use pascalr_planner::{QueryPlan, StrategyLevel};
-use pascalr_storage::{MetricsSnapshot, PoolCounters, StorageCounters};
+use pascalr_storage::{MetricsSnapshot, StorageCounters};
 
 use crate::Database;
 
@@ -74,8 +74,8 @@ pub(crate) struct DbObs {
     pub(crate) cache_invalidations: Arc<Counter>,
     pub(crate) cache_evictions: Arc<Counter>,
     pub(crate) cache_entries: Arc<Gauge>,
-    /// The storage engine's counters — buffer-pool traffic, WAL volume,
-    /// recovery replays, checkpoints.  The same `Arc` handles are given to
+    /// The storage engine's counters — WAL volume, recovery replays,
+    /// checkpoints.  The same `Arc` handles are given to
     /// the [`pascalr_storage::StorageBackend`], so the backend ticks
     /// directly into this registry.
     pub(crate) storage: StorageCounters,
@@ -141,20 +141,6 @@ impl DbObs {
         );
         let cache_entries = b.gauge("pascalr_plan_cache_entries", "Plans currently cached.");
         let storage = StorageCounters {
-            pool: PoolCounters {
-                hits: b.counter(
-                    "pascalr_buffer_pool_hits_total",
-                    "Buffer-pool page requests served from a resident frame.",
-                ),
-                misses: b.counter(
-                    "pascalr_buffer_pool_misses_total",
-                    "Buffer-pool page requests that read the filesystem.",
-                ),
-                evictions: b.counter(
-                    "pascalr_buffer_pool_evictions_total",
-                    "Buffer-pool frames evicted to make room.",
-                ),
-            },
             wal_appends: b.counter(
                 "pascalr_wal_appends_total",
                 "Write-ahead-log records appended.",

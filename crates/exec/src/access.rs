@@ -8,10 +8,9 @@
 //! persists them — but it is the single place where read-side accounting
 //! is grounded:
 //!
-//! * **Page accounting** asks [`pascalr_catalog::Catalog::pages_of`], so a
-//!   database opened on a persistent backend charges scans with the *real*
-//!   heap page counts the backend measured, while the in-memory default
-//!   keeps the paper's analytical [`pascalr_storage::PageModel`].
+//! * **Page accounting** asks [`pascalr_catalog::Catalog::pages_of`]: the
+//!   paper's analytical [`pascalr_storage::PageModel`], the same on every
+//!   backend.
 //! * A future backend that pages tuples in lazily only has to change this
 //!   module — the phase code above it is already backend-generic.
 
@@ -75,9 +74,7 @@ impl<'a> StorageReader<'a> {
     }
 
     /// Records one full scan of `relation` against `metrics`, charging the
-    /// tuple count and the **page count the storage layer reports**: real
-    /// heap pages when a persistent backend measured them, the analytical
-    /// page model otherwise.
+    /// tuple count and the page count of the catalog's page model.
     pub fn record_scan(
         &self,
         metrics: &Metrics,
@@ -98,7 +95,7 @@ impl<'a> StorageReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use pascalr_relation::Value;
 
     fn sample() -> Catalog {
         pascalr_workload::figure1_sample_database().unwrap()
@@ -120,8 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn scan_accounting_prefers_real_page_counts() {
-        let mut cat = sample();
+    fn scan_accounting_uses_the_page_model() {
+        let cat = sample();
         let reader = StorageReader::new(&cat);
         let metrics = Metrics::new();
         reader
@@ -132,15 +129,29 @@ mod tests {
             .pages_for(cat.relation("employees").unwrap().cardinality() as u64);
         assert_eq!(metrics.snapshot().total().pages_read, modeled);
 
-        // A persistent backend's measured page counts take over.
-        let mut real = BTreeMap::new();
-        real.insert("employees".to_string(), 7u64);
-        cat.set_real_page_counts(real, Some(3));
+        // Rows inserted later are charged as the model prices them: no
+        // page count is frozen at an earlier state.
+        let mut cat = cat;
+        let template = cat
+            .relation("employees")
+            .unwrap()
+            .tuples()
+            .next()
+            .unwrap()
+            .clone();
+        for enr in 61..=99 {
+            let mut values = template.values().to_vec();
+            values[0] = Value::int(enr);
+            cat.insert("employees", Tuple::new(values)).unwrap();
+        }
         let reader = StorageReader::new(&cat);
         let metrics = Metrics::new();
         reader
             .record_scan(&metrics, Phase::Collection, "employees")
             .unwrap();
-        assert_eq!(metrics.snapshot().total().pages_read, 7);
+        let grown = cat.page_model().pages_for(45);
+        assert!(grown > modeled);
+        assert_eq!(metrics.snapshot().total().pages_read, grown);
+        assert_eq!(cat.pages_of("employees").unwrap(), grown);
     }
 }

@@ -500,9 +500,8 @@ fn record_scans(
     metrics: &Metrics,
     index_served: &BTreeSet<String>,
 ) -> Result<(), ExecError> {
-    // Page counts come from the storage layer's view of the relation: the
-    // persistent backend's measured heap pages when one is active, the
-    // analytical page model otherwise (see `StorageReader::record_scan`).
+    // Page counts come from the catalog's page model on every backend
+    // (see `StorageReader::record_scan`).
     let scan = |relation: &str| -> Result<(), ExecError> {
         reader.record_scan(metrics, Phase::Collection, relation)
     };

@@ -1,47 +1,51 @@
 //! The [`StorageBackend`] abstraction and its two implementations.
 //!
 //! A backend owns the durability of the engine: the catalog hands it
-//! opaque byte payloads (WAL records on every logged mutation, the full
-//! record set at checkpoints) and asks for them back on open. Query
+//! opaque byte payloads (WAL records on every logged mutation, one blob
+//! per relation at checkpoints) and asks for them back on open. Query
 //! execution never blocks on a backend — published catalog snapshots pin
 //! immutable in-memory state, and the backend's job is to reconstruct
 //! that state after a restart.
 //!
 //! - [`MemoryBackend`] is the default: no files, no logging, exactly the
 //!   pre-durability engine.
-//! - [`SlottedHeapBackend`] is the real one: slotted heap pages behind a
-//!   fixed-capacity [`BufferPool`], a CRC-framed WAL with redo recovery,
-//!   and generation-numbered checkpoint files committed by an atomic
-//!   `meta.bin` swap.
+//! - [`FileBackend`] is the real one: a CRC-framed WAL with redo
+//!   recovery, and generation-numbered checkpoint files committed by an
+//!   atomic `meta.bin` swap.
 //!
-//! ## On-disk layout (`SlottedHeapBackend`)
+//! ## On-disk layout (`FileBackend`)
 //!
 //! | file | contents |
 //! |------|----------|
-//! | `meta.bin` | commit point: magic, generation, relation directory, catalog metadata, CRC |
-//! | `data_<gen>.pages` | slotted heap pages for every relation, packed at checkpoint |
+//! | `meta.bin` | commit point: magic, then one frame holding the generation, the relation directory (name → offset and length of its blob) and the catalog metadata |
+//! | `data_<gen>.bin` | one frame per named relation: its whole blob, appended at checkpoint |
 //! | `wal_<gen>.log` | redo log of mutations since checkpoint `<gen>` |
+//!
+//! Every frame is the WAL's `[len: u32][crc32: u32][payload]`, so the log
+//! and the checkpoint share one framing and one checksum.
 //!
 //! A checkpoint writes the *next* generation's data and (empty) WAL
 //! files, fsyncs them, then atomically replaces `meta.bin`. A crash
 //! anywhere before that replace leaves the previous generation fully
 //! intact; a crash after it leaves the new one — there is no in-between.
+//! Because the data file is durable before the commit point names it,
+//! recovery reads each relation with one positioned read and treats a
+//! short or mismatching frame as corruption, never as a torn tail.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use pascalr_sync::{Arc, Mutex};
 
-use crate::buffer::BufferPool;
 use crate::codec::{Dec, Enc};
 use crate::counters::StorageCounters;
 use crate::error::StorageError;
 use crate::fs::StorageFs;
-use crate::slotted::{pack_records, SlottedPage};
-use crate::wal::{replay, FsyncPolicy, WalWriter};
+use crate::wal::{frame_header, replay, verify_frame, FsyncPolicy, WalWriter, WAL_FRAME_HEADER};
 
-/// Magic prefix of `meta.bin` (`PRHEAP` + format version).
-const META_MAGIC: &[u8; 8] = b"PRHEAP01";
+/// Magic prefix of `meta.bin` (`PRHEAP` + format version). Directories
+/// written under another magic are refused as corrupt: there is no
+/// migration.
+const META_MAGIC: &[u8; 8] = b"PRHEAP02";
 
 /// Everything a backend recovered on open: the checkpointed state plus
 /// the redo log to replay on top of it.
@@ -49,8 +53,8 @@ const META_MAGIC: &[u8; 8] = b"PRHEAP01";
 pub struct CheckpointData {
     /// Opaque catalog metadata written by the last checkpoint.
     pub meta: Vec<u8>,
-    /// Per-relation record payloads, in checkpoint order.
-    pub relations: Vec<(String, Vec<Vec<u8>>)>,
+    /// Each named relation's blob, in checkpoint order.
+    pub relations: Vec<(String, Vec<u8>)>,
     /// WAL payloads appended after the checkpoint, in append order.
     pub wal_records: Vec<Vec<u8>>,
     /// Whether a torn WAL tail was discarded during recovery.
@@ -62,7 +66,7 @@ pub struct CheckpointData {
 /// Where and how the engine's tuples survive a restart.
 ///
 /// Payloads are opaque to the backend: the catalog's codec decides what a
-/// WAL record or a relation record contains. The contract is ordering —
+/// WAL record or a relation blob contains. The contract is ordering —
 /// [`StorageBackend::log`] is called *before* the mutation it describes
 /// becomes visible to readers, so every recovered log is a redo log.
 pub trait StorageBackend: Send + Sync + fmt::Debug {
@@ -78,13 +82,9 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     fn sync(&self) -> Result<(), StorageError>;
 
     /// Write a full checkpoint: `meta` (opaque catalog metadata) plus
-    /// every relation's record payloads. On success the WAL is rotated
-    /// empty — recovery starts from this state.
-    fn checkpoint(
-        &self,
-        meta: &[u8],
-        relations: &[(String, Vec<Vec<u8>>)],
-    ) -> Result<(), StorageError>;
+    /// every relation's blob. On success the WAL is rotated empty —
+    /// recovery starts from this state.
+    fn checkpoint(&self, meta: &[u8], relations: &[(String, Vec<u8>)]) -> Result<(), StorageError>;
 
     /// Recover the last checkpoint and the redo records logged after it,
     /// or `Ok(None)` when no checkpoint exists (fresh database). Callers
@@ -92,14 +92,6 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     ///
     /// [`log`]: StorageBackend::log
     fn open_checkpoint(&self) -> Result<Option<CheckpointData>, StorageError>;
-
-    /// Real page count of `relation`'s heap extent as of the last
-    /// checkpoint, when this backend materializes pages.
-    fn page_count(&self, relation: &str) -> Option<u64>;
-
-    /// Measured blocking factor (records per page) of the last
-    /// checkpoint, when this backend materializes pages.
-    fn tuples_per_page(&self) -> Option<u64>;
 }
 
 /// The default backend: everything lives in process memory and vanishes
@@ -123,7 +115,7 @@ impl StorageBackend for MemoryBackend {
     fn checkpoint(
         &self,
         _meta: &[u8],
-        _relations: &[(String, Vec<Vec<u8>>)],
+        _relations: &[(String, Vec<u8>)],
     ) -> Result<(), StorageError> {
         Ok(())
     }
@@ -131,37 +123,21 @@ impl StorageBackend for MemoryBackend {
     fn open_checkpoint(&self) -> Result<Option<CheckpointData>, StorageError> {
         Ok(None)
     }
-
-    fn page_count(&self, _relation: &str) -> Option<u64> {
-        None
-    }
-
-    fn tuples_per_page(&self) -> Option<u64> {
-        None
-    }
 }
 
-/// One relation's extent in the checkpoint's heap file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where one relation's frame sits in the checkpoint's data file.
+#[derive(Debug)]
 struct RelExtent {
-    start_page: u64,
-    pages: u64,
-    records: u64,
+    name: String,
+    /// Byte offset of the frame header.
+    offset: u64,
+    /// Length of the blob (the frame minus its header).
+    len: u64,
 }
 
-#[derive(Debug, Default)]
-struct HeapState {
-    generation: u64,
-    directory: BTreeMap<String, RelExtent>,
-    total_pages: u64,
-    total_records: u64,
-}
-
-/// Tuning knobs for [`SlottedHeapBackend`].
+/// Tuning knobs for [`FileBackend`].
 #[derive(Debug, Clone, Copy)]
 pub struct HeapOptions {
-    /// Buffer-pool capacity in frames.
-    pub pool_pages: usize,
     /// WAL fsync policy.
     pub fsync: FsyncPolicy,
 }
@@ -169,38 +145,37 @@ pub struct HeapOptions {
 impl Default for HeapOptions {
     fn default() -> HeapOptions {
         HeapOptions {
-            pool_pages: 64,
             fsync: FsyncPolicy::EveryCommit,
         }
     }
 }
 
-/// Slotted-heap persistent backend: pages through a buffer pool, WAL with
-/// redo recovery, atomic checkpoint generations.
+/// File-backed persistent backend: one CRC-framed blob per relation per
+/// checkpoint generation, a WAL with redo recovery, and an atomic
+/// `meta.bin` commit point.
 #[derive(Debug)]
-pub struct SlottedHeapBackend {
+pub struct FileBackend {
     fs: Arc<dyn StorageFs>,
-    pool: BufferPool,
     wal: WalWriter,
-    state: Mutex<HeapState>,
+    /// The generation `meta.bin` names; the lock also serializes
+    /// checkpoints.
+    generation: Mutex<u64>,
     counters: StorageCounters,
 }
 
-impl SlottedHeapBackend {
+impl FileBackend {
     /// A backend over `fs` with the given tuning and shared counters.
     pub fn new(fs: Arc<dyn StorageFs>, options: HeapOptions, counters: StorageCounters) -> Self {
-        let pool = BufferPool::new(options.pool_pages, counters.pool.clone());
         let wal = WalWriter::new(
             Arc::clone(&fs),
             wal_file(0),
             options.fsync,
             counters.clone(),
         );
-        SlottedHeapBackend {
+        FileBackend {
             fs,
-            pool,
             wal,
-            state: Mutex::new(HeapState::default()),
+            generation: Mutex::new(0),
             counters,
         }
     }
@@ -210,84 +185,61 @@ impl SlottedHeapBackend {
         &self.counters
     }
 
-    /// The buffer pool serving this backend's page I/O.
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn encode_meta(state: &HeapState, meta: &[u8]) -> Vec<u8> {
+    fn encode_meta(
+        generation: u64,
+        directory: &[RelExtent],
+        meta: &[u8],
+    ) -> Result<Vec<u8>, StorageError> {
         let mut e = Enc::new();
-        e.u64(state.generation);
-        e.u64(state.total_pages);
-        e.u64(state.total_records);
-        e.usize(state.directory.len());
-        for (name, extent) in &state.directory {
-            e.str(name);
-            e.u64(extent.start_page);
-            e.u64(extent.pages);
-            e.u64(extent.records);
+        e.u64(generation);
+        e.usize(directory.len());
+        for extent in directory {
+            e.str(&extent.name);
+            e.u64(extent.offset);
+            e.u64(extent.len);
         }
         e.bytes(meta);
         let body = e.into_bytes();
-        let mut out = Vec::with_capacity(META_MAGIC.len() + body.len() + 4);
+        let mut out = Vec::with_capacity(META_MAGIC.len() + WAL_FRAME_HEADER + body.len());
         out.extend_from_slice(META_MAGIC);
+        out.extend_from_slice(&frame_header(&body)?);
         out.extend_from_slice(&body);
-        out.extend_from_slice(&crate::wal::crc32(&body).to_le_bytes());
-        out
+        Ok(out)
     }
 
-    fn decode_meta(raw: &[u8]) -> Result<(HeapState, Vec<u8>), StorageError> {
-        if raw.len() < META_MAGIC.len() + 4 || &raw[..META_MAGIC.len()] != META_MAGIC {
-            return Err(StorageError::corrupt("meta.bin has no valid magic"));
-        }
-        let body = &raw[META_MAGIC.len()..raw.len() - 4];
-        let stored_crc = u32::from_le_bytes([
-            raw[raw.len() - 4],
-            raw[raw.len() - 3],
-            raw[raw.len() - 2],
-            raw[raw.len() - 1],
-        ]);
-        if crate::wal::crc32(body) != stored_crc {
-            return Err(StorageError::corrupt("meta.bin checksum mismatch"));
-        }
-        let mut d = Dec::new(body);
+    fn decode_meta(raw: &[u8]) -> Result<(u64, Vec<RelExtent>, Vec<u8>), StorageError> {
+        let Some(framed) = raw.strip_prefix(META_MAGIC) else {
+            return Err(StorageError::corrupt(
+                "meta.bin has no PRHEAP02 magic (an unknown or older format)",
+            ));
+        };
+        verify_frame(framed, "meta.bin")?;
+        let mut d = Dec::new(&framed[WAL_FRAME_HEADER..]);
         let generation = d.u64()?;
-        let total_pages = d.u64()?;
-        let total_records = d.u64()?;
         let n = d.usize()?;
-        let mut directory = BTreeMap::new();
+        let mut directory = Vec::with_capacity(n.min(d.remaining()));
         for _ in 0..n {
-            let name = d.str()?.to_string();
-            let extent = RelExtent {
-                start_page: d.u64()?,
-                pages: d.u64()?,
-                records: d.u64()?,
-            };
-            directory.insert(name, extent);
+            directory.push(RelExtent {
+                name: d.str()?.to_string(),
+                offset: d.u64()?,
+                len: d.u64()?,
+            });
         }
         let meta = d.bytes()?.to_vec();
         d.finish()?;
-        Ok((
-            HeapState {
-                generation,
-                directory,
-                total_pages,
-                total_records,
-            },
-            meta,
-        ))
+        Ok((generation, directory, meta))
     }
 }
 
 fn data_file(generation: u64) -> String {
-    format!("data_{generation}.pages")
+    format!("data_{generation}.bin")
 }
 
 fn wal_file(generation: u64) -> String {
     format!("wal_{generation}.log")
 }
 
-impl StorageBackend for SlottedHeapBackend {
+impl StorageBackend for FileBackend {
     fn is_persistent(&self) -> bool {
         true
     }
@@ -300,61 +252,46 @@ impl StorageBackend for SlottedHeapBackend {
         self.wal.sync()
     }
 
-    fn checkpoint(
-        &self,
-        meta: &[u8],
-        relations: &[(String, Vec<Vec<u8>>)],
-    ) -> Result<(), StorageError> {
-        let mut state = self.state.lock();
-        let old_gen = state.generation;
+    fn checkpoint(&self, meta: &[u8], relations: &[(String, Vec<u8>)]) -> Result<(), StorageError> {
+        let mut generation = self.generation.lock();
+        let old_gen = *generation;
         let next_gen = old_gen + 1;
-        let data: Arc<str> = Arc::from(data_file(next_gen).as_str());
+        let data = data_file(next_gen);
 
-        let mut directory = BTreeMap::new();
-        let mut next_page = 0u64;
-        let mut total_records = 0u64;
-        for (name, records) in relations {
-            let pages = pack_records(records.iter().map(Vec::as_slice))?;
-            for (i, page) in pages.iter().enumerate() {
-                self.pool
-                    .write_page(&*self.fs, &data, next_page + i as u64, page.as_bytes())?;
-            }
-            directory.insert(
-                name.clone(),
-                RelExtent {
-                    start_page: next_page,
-                    pages: pages.len() as u64,
-                    records: records.len() as u64,
-                },
-            );
-            next_page += pages.len() as u64;
-            total_records += records.len() as u64;
+        // A checkpoint that crashed before its commit point may have left
+        // this generation's data file behind: start it afresh.
+        self.fs.remove(&data)?;
+        let mut directory = Vec::with_capacity(relations.len());
+        let mut offset = 0u64;
+        for (name, blob) in relations {
+            // Header and blob go down as two appends, so the blob is never
+            // copied into a framed buffer.
+            self.fs.append(&data, &frame_header(blob)?)?;
+            self.fs.append(&data, blob)?;
+            directory.push(RelExtent {
+                name: name.clone(),
+                offset,
+                len: blob.len() as u64,
+            });
+            offset += (WAL_FRAME_HEADER + blob.len()) as u64;
         }
-        self.pool.flush(&*self.fs)?;
         self.fs.sync(&data)?;
         // A fresh empty WAL for the new generation, durable before the
         // commit point names it.
         self.fs.write_atomic(&wal_file(next_gen), b"")?;
 
-        let next_state = HeapState {
-            generation: next_gen,
-            directory,
-            total_pages: next_page,
-            total_records,
-        };
         // Commit point: after this atomic replace, recovery sees the new
         // generation; before it, the old one — never a mixture.
         self.fs
-            .write_atomic("meta.bin", &Self::encode_meta(&next_state, meta))?;
+            .write_atomic("meta.bin", &Self::encode_meta(next_gen, &directory, meta)?)?;
 
-        *state = next_state;
+        *generation = next_gen;
         self.wal.rotate_to(wal_file(next_gen));
         self.counters.checkpoints.inc();
 
         // Best-effort cleanup of the superseded generation.
         let _ = self.fs.remove(&data_file(old_gen));
         let _ = self.fs.remove(&wal_file(old_gen));
-        self.pool.discard_file(&data_file(old_gen));
         Ok(())
     }
 
@@ -362,27 +299,21 @@ impl StorageBackend for SlottedHeapBackend {
         let Some(raw_meta) = self.fs.read("meta.bin")? else {
             return Ok(None);
         };
-        let (next_state, meta) = Self::decode_meta(&raw_meta)?;
-        let generation = next_state.generation;
-        let data: Arc<str> = Arc::from(data_file(generation).as_str());
+        let (generation, directory, meta) = Self::decode_meta(&raw_meta)?;
+        let data = data_file(generation);
 
-        let mut relations = Vec::with_capacity(next_state.directory.len());
-        for (name, extent) in &next_state.directory {
-            let mut records = Vec::with_capacity(extent.records as usize);
-            for page_no in extent.start_page..extent.start_page + extent.pages {
-                self.pool.with_page(&*self.fs, &data, page_no, |bytes| {
-                    SlottedPage::from_bytes(bytes)
-                        .map(|page| records.extend(page.records().map(<[u8]>::to_vec)))
-                })??;
-            }
-            if records.len() as u64 != extent.records {
-                return Err(StorageError::corrupt(format!(
-                    "relation {name}: directory claims {} record(s), pages hold {}",
-                    extent.records,
-                    records.len()
-                )));
-            }
-            relations.push((name.clone(), records));
+        let mut relations = Vec::with_capacity(directory.len());
+        for RelExtent { name, offset, len } in directory {
+            let len = usize::try_from(len)
+                .ok()
+                .and_then(|len| len.checked_add(WAL_FRAME_HEADER))
+                .ok_or_else(|| {
+                    StorageError::corrupt(format!("relation {name}: blob length {len} too large"))
+                })?;
+            let mut blob = self.fs.read_at(&data, offset, len)?;
+            verify_frame(&blob, &format!("{data}: relation {name}"))?;
+            blob.drain(..WAL_FRAME_HEADER);
+            relations.push((name, blob));
         }
 
         let wal_name = wal_file(generation);
@@ -397,7 +328,7 @@ impl StorageBackend for SlottedHeapBackend {
             .recovery_replays
             .add(outcome.records.len() as u64);
 
-        *self.state.lock() = next_state;
+        *self.generation.lock() = generation;
         self.wal.rotate_to(wal_name);
         Ok(Some(CheckpointData {
             meta,
@@ -407,22 +338,6 @@ impl StorageBackend for SlottedHeapBackend {
             generation,
         }))
     }
-
-    fn page_count(&self, relation: &str) -> Option<u64> {
-        self.state
-            .lock()
-            .directory
-            .get(relation)
-            .map(|extent| extent.pages)
-    }
-
-    fn tuples_per_page(&self) -> Option<u64> {
-        let state = self.state.lock();
-        if state.total_pages == 0 || state.total_records == 0 {
-            return None;
-        }
-        Some(state.total_records.div_ceil(state.total_pages))
-    }
 }
 
 #[cfg(test)]
@@ -430,15 +345,14 @@ mod tests {
     use super::*;
     use crate::fs::MemFs;
 
-    fn records(prefix: &str, n: usize) -> Vec<Vec<u8>> {
-        // Padded to a realistic tuple size so multi-page extents appear.
+    fn blob(prefix: &str, n: usize) -> Vec<u8> {
         (0..n)
-            .map(|i| format!("{prefix}-{i:04}{:>40}", "x").into_bytes())
+            .flat_map(|i| format!("{prefix}-{i:04}{:>40}", "x").into_bytes())
             .collect()
     }
 
-    fn heap(fs: &MemFs) -> SlottedHeapBackend {
-        SlottedHeapBackend::new(
+    fn heap(fs: &MemFs) -> FileBackend {
+        FileBackend::new(
             Arc::new(fs.clone()) as Arc<dyn StorageFs>,
             HeapOptions::default(),
             StorageCounters::detached(),
@@ -452,8 +366,6 @@ mod tests {
         b.log(b"ignored").unwrap();
         b.checkpoint(b"m", &[]).unwrap();
         assert!(b.open_checkpoint().unwrap().is_none());
-        assert_eq!(b.page_count("r"), None);
-        assert_eq!(b.tuples_per_page(), None);
     }
 
     #[test]
@@ -462,8 +374,9 @@ mod tests {
         let b = heap(&fs);
         assert!(b.open_checkpoint().unwrap().is_none());
         let rels = vec![
-            ("emp".to_string(), records("emp", 300)),
-            ("dept".to_string(), records("dept", 5)),
+            ("emp".to_string(), blob("emp", 300)),
+            ("dept".to_string(), blob("dept", 5)),
+            ("empty".to_string(), Vec::new()),
         ];
         b.checkpoint(b"catalog-meta", &rels).unwrap();
         b.log(b"op1").unwrap();
@@ -475,30 +388,25 @@ mod tests {
         assert_eq!(data.generation, 1);
         assert!(!data.torn_tail);
         assert_eq!(data.wal_records, vec![b"op1".to_vec(), b"op2".to_vec()]);
-        let by_name: BTreeMap<_, _> = data.relations.iter().cloned().collect();
-        assert_eq!(by_name["emp"], records("emp", 300));
-        assert_eq!(by_name["dept"], records("dept", 5));
+        assert_eq!(data.relations, rels);
         assert_eq!(b2.counters().recovery_replays.get(), 2);
-        assert!(b2.page_count("emp").unwrap() > 1);
-        assert_eq!(b2.page_count("dept"), Some(1));
-        assert!(b2.tuples_per_page().is_some());
     }
 
     #[test]
     fn checkpoint_rotates_wal_and_drops_old_generation() {
         let fs = MemFs::new();
         let b = heap(&fs);
-        b.checkpoint(b"g1", &[("r".to_string(), records("r", 10))])
+        b.checkpoint(b"g1", &[("r".to_string(), blob("r", 10))])
             .unwrap();
         b.log(b"before-ckpt").unwrap();
-        b.checkpoint(b"g2", &[("r".to_string(), records("r", 11))])
+        b.checkpoint(b"g2", &[("r".to_string(), blob("r", 11))])
             .unwrap();
         b.log(b"after-ckpt").unwrap();
 
         let names = fs.list().unwrap();
-        assert!(names.contains(&"data_2.pages".to_string()));
+        assert!(names.contains(&"data_2.bin".to_string()));
         assert!(
-            !names.contains(&"data_1.pages".to_string()),
+            !names.contains(&"data_1.bin".to_string()),
             "old gen not removed: {names:?}"
         );
         assert!(!names.contains(&"wal_1.log".to_string()));
@@ -508,7 +416,7 @@ mod tests {
         assert_eq!(data.generation, 2);
         assert_eq!(data.meta, b"g2");
         assert_eq!(data.wal_records, vec![b"after-ckpt".to_vec()]);
-        assert_eq!(data.relations[0].1.len(), 11);
+        assert_eq!(data.relations[0].1, blob("r", 11));
     }
 
     #[test]
@@ -537,18 +445,18 @@ mod tests {
     fn crash_before_meta_swap_keeps_old_generation() {
         let fs = MemFs::new();
         let b = heap(&fs);
-        b.checkpoint(b"old", &[("r".to_string(), records("r", 4))])
+        b.checkpoint(b"old", &[("r".to_string(), blob("r", 4))])
             .unwrap();
         b.log(b"logged-on-old").unwrap();
         // Simulate a crash mid-checkpoint: new data/wal files written but
         // meta.bin still names generation 1.
         let snap = fs.snapshot();
-        b.checkpoint(b"new", &[("r".to_string(), records("r", 9))])
+        b.checkpoint(b"new", &[("r".to_string(), blob("r", 9))])
             .unwrap();
         let mut crashed = snap;
         // Keep the new generation's partial files around as garbage.
         let after = fs.snapshot();
-        crashed.insert("data_2.pages".to_string(), after["data_2.pages"].clone());
+        crashed.insert("data_2.bin".to_string(), after["data_2.bin"].clone());
         crashed.insert("wal_2.log".to_string(), Vec::new());
         fs.restore(crashed);
 
@@ -556,8 +464,20 @@ mod tests {
         let data = b2.open_checkpoint().unwrap().unwrap();
         assert_eq!(data.generation, 1);
         assert_eq!(data.meta, b"old");
-        assert_eq!(data.relations[0].1.len(), 4);
+        assert_eq!(data.relations[0].1, blob("r", 4));
         assert_eq!(data.wal_records, vec![b"logged-on-old".to_vec()]);
+
+        // The next checkpoint replaces the leftover data_2, not appends to it.
+        b2.checkpoint(b"retry", &[("r".to_string(), blob("r", 6))])
+            .unwrap();
+        let data = heap(&fs).open_checkpoint().unwrap().unwrap();
+        assert_eq!(data.generation, 2);
+        assert_eq!(data.meta, b"retry");
+        assert_eq!(data.relations, vec![("r".to_string(), blob("r", 6))]);
+        assert_eq!(
+            fs.len("data_2.bin").unwrap(),
+            (WAL_FRAME_HEADER + blob("r", 6).len()) as u64
+        );
     }
 
     #[test]
@@ -565,10 +485,20 @@ mod tests {
         let fs = MemFs::new();
         let b = heap(&fs);
         b.checkpoint(b"m", &[]).unwrap();
+        let pristine = fs.snapshot();
         fs.corrupt_byte("meta.bin", 12);
         let b2 = heap(&fs);
         assert!(matches!(
             b2.open_checkpoint(),
+            Err(StorageError::Corrupt { .. })
+        ));
+        // A directory of the previous format is refused, not migrated.
+        fs.restore(pristine);
+        let mut meta = fs.read("meta.bin").unwrap().unwrap();
+        meta[..8].copy_from_slice(b"PRHEAP01");
+        fs.write_atomic("meta.bin", &meta).unwrap();
+        assert!(matches!(
+            heap(&fs).open_checkpoint(),
             Err(StorageError::Corrupt { .. })
         ));
     }

@@ -1,7 +1,7 @@
 //! Shared durability counters for the persistent backend.
 //!
 //! [`StorageCounters`] bundles every counter the storage engine ticks —
-//! buffer-pool traffic, WAL volume, recovery replays, checkpoints — as
+//! WAL volume, recovery replays, checkpoints — as
 //! `Arc<Counter>` handles. The engine's `DbObs` registers the same
 //! handles in its metrics [`Registry`](pascalr_obs::Registry), so the
 //! numbers surface through `render_prometheus()` / `metrics_json()`
@@ -10,14 +10,10 @@
 use pascalr_obs::Counter;
 use pascalr_sync::Arc;
 
-use crate::buffer::PoolCounters;
-
 /// Every counter the persistent backend ticks, shareable with a metrics
 /// registry.
 #[derive(Debug, Clone)]
 pub struct StorageCounters {
-    /// Buffer-pool hit/miss/eviction counters.
-    pub pool: PoolCounters,
     /// WAL records appended.
     pub wal_appends: Arc<Counter>,
     /// WAL bytes appended (frame headers included).
@@ -34,7 +30,6 @@ impl StorageCounters {
     /// Counters not attached to any registry (tests, standalone use).
     pub fn detached() -> StorageCounters {
         StorageCounters {
-            pool: PoolCounters::detached(),
             wal_appends: Arc::new(Counter::new()),
             wal_bytes: Arc::new(Counter::new()),
             wal_fsyncs: Arc::new(Counter::new()),
@@ -53,8 +48,8 @@ mod tests {
         let c = StorageCounters::detached();
         assert_eq!(c.wal_appends.get(), 0);
         c.wal_appends.inc();
-        c.pool.hits.add(3);
+        c.checkpoints.add(3);
         assert_eq!(c.wal_appends.get(), 1);
-        assert_eq!(c.pool.hits.get(), 3);
+        assert_eq!(c.checkpoints.get(), 3);
     }
 }

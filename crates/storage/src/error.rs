@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// Errors raised by storage backends, the buffer pool, the write-ahead log
-/// and the on-disk codecs.
+/// Errors raised by storage backends, the write-ahead log and the on-disk
+/// codecs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// An underlying file operation failed.
@@ -19,13 +19,6 @@ pub enum StorageError {
         /// Description of the undecodable state.
         detail: String,
     },
-    /// A single record does not fit into one slotted page.
-    RecordTooLarge {
-        /// Size of the offending record in bytes.
-        bytes: usize,
-        /// Maximum record payload a page can hold.
-        capacity: usize,
-    },
     /// The operation is not supported by this backend.
     Unsupported {
         /// Description of the unsupported operation.
@@ -38,10 +31,6 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io { detail } => write!(f, "storage I/O error: {detail}"),
             StorageError::Corrupt { detail } => write!(f, "corrupt storage state: {detail}"),
-            StorageError::RecordTooLarge { bytes, capacity } => write!(
-                f,
-                "record of {bytes} byte(s) exceeds the page record capacity of {capacity}"
-            ),
             StorageError::Unsupported { detail } => {
                 write!(f, "unsupported storage operation: {detail}")
             }
@@ -75,9 +64,8 @@ mod tests {
     fn display_mentions_the_cause() {
         let e = StorageError::corrupt("bad magic");
         assert!(e.to_string().contains("bad magic"));
-        let e = StorageError::RecordTooLarge {
-            bytes: 9000,
-            capacity: 4088,
+        let e = StorageError::Unsupported {
+            detail: "a frame of 9000 byte(s)".to_string(),
         };
         assert!(e.to_string().contains("9000"));
         let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");

@@ -66,9 +66,10 @@ pub trait StorageFs: Send + Sync + fmt::Debug {
 
 /// [`StorageFs`] over a real directory.
 ///
-/// Files are opened per call — the backend above batches I/O through its
-/// buffer pool and WAL appends, so the simplicity is worth more than a
-/// descriptor cache. [`StorageFs::write_atomic`] writes `<name>.tmp`,
+/// Files are opened per call — the backend above writes a checkpoint as a
+/// few large appends, reads it back with one positioned read per relation
+/// and logs with one append per record, so the simplicity is worth more
+/// than a descriptor cache. [`StorageFs::write_atomic`] writes `<name>.tmp`,
 /// fsyncs it, renames over `<name>`, then fsyncs the directory so the
 /// rename itself is durable.
 #[derive(Debug)]

@@ -3,16 +3,15 @@
 //! Three layers live here:
 //!
 //! 1. **Backends** ([`StorageBackend`]): where tuples survive (or don't).
-//!    [`MemoryBackend`] is the zero-cost default; [`SlottedHeapBackend`]
-//!    persists slotted heap pages through a fixed-capacity [`BufferPool`],
-//!    logs every mutation to a CRC-framed write-ahead log, and performs
+//!    [`MemoryBackend`] is the zero-cost default; [`FileBackend`] writes
+//!    each checkpoint as one CRC-framed blob per relation, logs every
+//!    mutation to a write-ahead log with the same framing, and performs
 //!    redo recovery on open. The file layer beneath it ([`StorageFs`]) has
 //!    a real-directory implementation ([`DiskFs`]) and an in-memory
 //!    fault-injecting one ([`MemFs`]) for crash tests.
 //! 2. **Costing** ([`PageModel`]): the optimizer's view of the blocking
-//!    factor. When the persistent backend is active its measured
-//!    records-per-page figure grounds the model; otherwise the default
-//!    models the paper's cost arguments.
+//!    factor, a model of the paper's cost arguments on every backend —
+//!    no backend stores pages.
 //! 3. **Access metrics** ([`Metrics`]): per-query counts of relation
 //!    reads, page accesses and comparisons, reproducing the paper's
 //!    Section 4 accounting in measurable form.
@@ -20,23 +19,19 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
-pub mod buffer;
 pub mod codec;
 pub mod counters;
 pub mod error;
 pub mod fs;
 pub mod metrics;
 pub mod pages;
-pub mod slotted;
 pub mod wal;
 
-pub use backend::{CheckpointData, HeapOptions, MemoryBackend, SlottedHeapBackend, StorageBackend};
-pub use buffer::{BufferPool, PoolCounters};
+pub use backend::{CheckpointData, FileBackend, HeapOptions, MemoryBackend, StorageBackend};
 pub use codec::{Dec, Enc};
 pub use counters::StorageCounters;
 pub use error::StorageError;
 pub use fs::{DiskFs, MemFs, StorageFs};
 pub use metrics::{Counters, Metrics, MetricsSnapshot, Phase};
 pub use pages::PageModel;
-pub use slotted::{SlottedPage, MAX_RECORD, PAGE_SIZE};
 pub use wal::FsyncPolicy;

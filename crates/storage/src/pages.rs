@@ -9,20 +9,12 @@
 //! all of them, and a point access through a selected variable or index
 //! probe reads one page.
 //!
-//! Since the slotted-heap backend landed (see [`crate::backend`]), this is
-//! no longer a simulation of a hypothetical disk: `tuples_per_page` is the
-//! **blocking factor**, and the engine has one source of truth for it.
-//! When a database is opened on the persistent backend, the backend's
-//! *measured* records-per-page figure (real [`PAGE_SIZE`] slotted pages
-//! packed at the last checkpoint, see
-//! [`StorageBackend::tuples_per_page`]) is installed into the catalog's
-//! `PageModel`, and `Catalog::pages_of` delegates to the backend's real
-//! per-relation page counts. The in-memory default keeps the historical
-//! `tuples_per_page = 32` so cost numbers stay comparable with earlier
-//! experiments.
-//!
-//! [`PAGE_SIZE`]: crate::slotted::PAGE_SIZE
-//! [`StorageBackend::tuples_per_page`]: crate::backend::StorageBackend::tuples_per_page
+//! `tuples_per_page` is the **blocking factor** of that model, and it is
+//! a model on every backend: the persistent backend stores each relation
+//! as one checkpoint blob, not as pages, so there is no measured figure
+//! to install. `Catalog::pages_of` is always `pages_for(cardinality)`,
+//! and the default `tuples_per_page = 32` keeps cost numbers comparable
+//! with earlier experiments.
 
 use serde::{Deserialize, Serialize};
 

@@ -41,27 +41,72 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// CRC-32 (ISO-HDLC polynomial, the `zlib` one), bit-reflected,
-/// hand-rolled because the workspace vendors no checksum crate.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// CRC-32 lookup table (ISO-HDLC polynomial, the `zlib` one,
+/// bit-reflected), computed at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (ISO-HDLC polynomial, the `zlib` one), table-driven and
+/// hand-rolled because the workspace vendors no checksum crate. The WAL
+/// frames, the checkpoint's relation frames and `meta.bin` all use it.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &b| {
+        CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8)
+    })
 }
 
-/// Frame one payload for appending to the log.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// The `[len][crc32]` header that frames `payload` in the log and in a
+/// checkpoint's data file. Fails when the payload does not fit the `u32`
+/// length field.
+pub fn frame_header(payload: &[u8]) -> Result<[u8; WAL_FRAME_HEADER], StorageError> {
+    let len = u32::try_from(payload.len()).map_err(|_| StorageError::Unsupported {
+        detail: format!("a frame of {} byte(s) exceeds 4 GiB", payload.len()),
+    })?;
+    let mut header = [0u8; WAL_FRAME_HEADER];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(header)
+}
+
+/// Check that `bytes` is exactly one frame — header, payload, nothing
+/// after — whose payload is then `bytes[WAL_FRAME_HEADER..]`. Any mismatch
+/// is [`StorageError::Corrupt`] naming `what`: unlike a log tail, such a
+/// frame was made durable before anything pointed at it.
+pub fn verify_frame(bytes: &[u8], what: &str) -> Result<(), StorageError> {
+    let Some((len, crc, payload)) = split_header(bytes) else {
+        return Err(StorageError::corrupt(format!("{what}: short frame")));
+    };
+    if len != payload.len() {
+        return Err(StorageError::corrupt(format!(
+            "{what}: frame claims {len} byte(s), {} stored",
+            payload.len()
+        )));
+    }
+    if crc32(payload) != crc {
+        return Err(StorageError::corrupt(format!("{what}: checksum mismatch")));
+    }
+    Ok(())
+}
+
+/// The claimed payload length and CRC of the frame starting `bytes`, and
+/// the bytes after its header; `None` when the header itself is short.
+fn split_header(bytes: &[u8]) -> Option<(usize, u32, &[u8])> {
+    let (&[l0, l1, l2, l3, c0, c1, c2, c3], rest) = bytes.split_first_chunk()?;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    Some((len, u32::from_le_bytes([c0, c1, c2, c3]), rest))
 }
 
 /// What [`replay`] recovered from a log.
@@ -80,19 +125,16 @@ pub struct ReplayOutcome {
 pub fn replay(log: &[u8]) -> ReplayOutcome {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while log.len() - pos >= WAL_FRAME_HEADER {
-        let len = u32::from_le_bytes([log[pos], log[pos + 1], log[pos + 2], log[pos + 3]]) as usize;
-        let crc = u32::from_le_bytes([log[pos + 4], log[pos + 5], log[pos + 6], log[pos + 7]]);
-        let start = pos + WAL_FRAME_HEADER;
-        if len > MAX_WAL_PAYLOAD || len > log.len() - start {
+    while let Some((len, crc, rest)) = split_header(&log[pos..]) {
+        if len > MAX_WAL_PAYLOAD || len > rest.len() {
             break;
         }
-        let payload = &log[start..start + len];
+        let payload = &rest[..len];
         if crc32(payload) != crc {
             break;
         }
         records.push(payload.to_vec());
-        pos = start + len;
+        pos += WAL_FRAME_HEADER + len;
     }
     ReplayOutcome {
         records,
@@ -156,7 +198,9 @@ impl WalWriter {
     /// Append one framed payload, fsyncing per the policy. Returns after
     /// the record is durable to the degree the policy promises.
     pub fn append(&self, payload: &[u8]) -> Result<(), StorageError> {
-        let framed = frame(payload);
+        let mut framed = Vec::with_capacity(WAL_FRAME_HEADER + payload.len());
+        framed.extend_from_slice(&frame_header(payload)?);
+        framed.extend_from_slice(payload);
         let file = self.file();
         self.fs.append(&file, &framed)?;
         self.counters.wal_appends.inc();
@@ -194,6 +238,12 @@ impl WalWriter {
 mod tests {
     use super::*;
     use crate::fs::MemFs;
+
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = frame_header(payload).unwrap().to_vec();
+        out.extend_from_slice(payload);
+        out
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -2,8 +2,9 @@
 //! (same relations, statistics, epochs and plans without re-ANALYZE),
 //! redo recovery at arbitrary WAL prefixes (the kill-and-reopen
 //! property test against an in-memory oracle), torn-write and
-//! corrupted-tail WAL handling, and the storage counters the engine
-//! surfaces through the metrics registry.
+//! corrupted-tail WAL handling, damaged checkpoint data, tuples larger
+//! than any page, page accounting after a checkpoint, and the storage
+//! counters the engine surfaces through the metrics registry.
 //!
 //! Every test runs on [`MemFs`], whose snapshot/truncate/corrupt hooks
 //! model crashes without touching the real filesystem — the `DiskFs`
@@ -13,8 +14,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use pascalr::storage::wal;
-use pascalr::{Database, FsyncPolicy, HeapOptions, MemFs, StrategyLevel};
+use pascalr::storage::{wal, StorageError};
+use pascalr::{Database, FsyncPolicy, HeapOptions, MemFs, PascalRError, StrategyLevel};
 use pascalr_relation::{Attribute, RelationSchema, Tuple, Value, ValueType};
 use pascalr_sync::Arc;
 use pascalr_workload::figure1_sample_database;
@@ -22,11 +23,9 @@ use pascalr_workload::figure1_sample_database;
 const EX21: &str = "profs := [<e.ename> OF EACH e IN employees: (e.estatus = professor) AND \
                     SOME p IN papers (p.penr = e.enr)]";
 
-/// Small pool + fsync-per-commit: the strictest (and default-durability)
-/// configuration, with enough pool pressure to exercise eviction.
+/// Fsync-per-commit: the strictest (and default) durability configuration.
 fn tight_options() -> HeapOptions {
     HeapOptions {
-        pool_pages: 8,
         fsync: FsyncPolicy::EveryCommit,
     }
 }
@@ -151,13 +150,104 @@ fn clean_reopen_replays_nothing() {
             .counter_total("pascalr_recovery_replays_total"),
         0
     );
-    // Loading the checkpointed pages went through the buffer pool.
-    let registry = db2.metrics_registry();
-    assert!(
-        registry.counter_total("pascalr_buffer_pool_hits_total")
-            + registry.counter_total("pascalr_buffer_pool_misses_total")
-            > 0
-    );
+}
+
+/// A committed tuple larger than any fixed page must not make the
+/// database impossible to checkpoint or reopen: a relation's checkpoint
+/// is one blob, whatever the size of its tuples.
+#[test]
+fn oversized_tuple_survives_checkpoint_and_reopen() {
+    let fs = MemFs::new();
+    let db = open_mem(&fs, HeapOptions::default());
+    let schema = RelationSchema::new(
+        "notes",
+        vec![
+            Attribute::new("id", ValueType::int()),
+            Attribute::new("body", ValueType::string(10_000)),
+        ],
+        &["id"],
+    )
+    .expect("static schema");
+    db.declare_relation(schema).unwrap();
+    let body = "x".repeat(5_000);
+    db.insert("notes", Tuple::new(vec![Value::int(1), Value::str(&*body)]))
+        .unwrap();
+    let read_back = |db: &Database| {
+        let snap = db.snapshot();
+        let rel = snap.relation("notes").expect("notes survives");
+        rel.tuples()
+            .map(|t| t.values()[1].clone())
+            .collect::<Vec<_>>()
+    };
+    drop(db);
+
+    // Reopen replays the insert and compacts it into a checkpoint ...
+    let db = open_mem(&fs, HeapOptions::default());
+    assert_eq!(read_back(&db), vec![Value::str(&*body)]);
+    // ... and an explicit checkpoint of it reopens too.
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = open_mem(&fs, HeapOptions::default());
+    assert_eq!(read_back(&db), vec![Value::str(&*body)]);
+}
+
+/// Every flipped byte of the checkpoint data file, and every truncation
+/// of it, is reported as `StorageError::Corrupt` on reopen — never a
+/// panic, an abort or a silently different database.
+#[test]
+fn corrupt_or_truncated_checkpoint_data_is_an_error_not_an_abort() {
+    let fs = MemFs::new();
+    let db = open_mem(&fs, HeapOptions::default());
+    db.mutate(|c| *c = figure1_sample_database().expect("sample database"));
+    drop(db);
+    let pristine = fs.snapshot();
+    let (data, bytes) = pristine
+        .iter()
+        .find(|(name, _)| name.starts_with("data_"))
+        .map(|(name, bytes)| (name.clone(), bytes.len()))
+        .expect("a checkpoint data file");
+
+    let assert_corrupt = |what: String| {
+        match Database::open_on(Arc::new(fs.clone()), HeapOptions::default()) {
+            Err(PascalRError::Storage(StorageError::Corrupt { .. })) => {}
+            Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("{what}: reopened a damaged checkpoint"),
+        }
+        fs.restore(pristine.clone());
+    };
+    let step = (bytes / 97).max(1);
+    for at in (0..16).chain((16..bytes).step_by(step)).chain([bytes - 1]) {
+        fs.corrupt_byte(&data, at);
+        assert_corrupt(format!("byte {at} of {data} flipped"));
+    }
+    for len in [0, 1, 7, 8, bytes / 2, bytes - 1] {
+        fs.truncate(&data, len);
+        assert_corrupt(format!("{data} cut to {len} byte(s)"));
+    }
+}
+
+/// Page accounting follows the relation, not the last checkpoint: on a
+/// persistent database `pages_of` is the page model's price of the
+/// current cardinality, the same as in memory.
+#[test]
+fn page_count_follows_inserts_after_a_checkpoint() {
+    let fs = MemFs::new();
+    let db = open_mem(&fs, HeapOptions::default());
+    db.declare_relation(schema_s()).unwrap();
+    db.insert("s", Tuple::new(vec![Value::int(0)])).unwrap();
+    db.checkpoint().unwrap();
+    db.insert_all("s", (1..5_000).map(|x| Tuple::new(vec![Value::int(x)])))
+        .unwrap();
+
+    let pages = |db: &Database| {
+        let snap = db.snapshot();
+        let expected = snap.page_model().pages_for(5_000);
+        assert_eq!(snap.pages_of("s").unwrap(), expected);
+        expected
+    };
+    assert_eq!(pages(&db), 157, "5 000 rows at 32 per page");
+    drop(db);
+    assert_eq!(pages(&open_mem(&fs, HeapOptions::default())), 157);
 }
 
 /// The storage counters tick through the engine's own registry: WAL

@@ -380,8 +380,8 @@ fn lifecycle_counters_tick_and_forks_get_fresh_registries() {
     );
 }
 
-/// Satellite (storage engine): the durability counters — buffer pool,
-/// WAL, recovery, checkpoints — are registered on every database and
+/// Satellite (storage engine): the durability counters — WAL, recovery,
+/// checkpoints — are registered on every database and
 /// round-trip through both exposition formats with the values the
 /// storage backend actually ticked.
 #[test]
@@ -403,7 +403,6 @@ fn storage_counters_round_trip_through_both_expositions() {
     let db = pascalr::Database::open_on(
         pascalr_sync::Arc::new(fs.clone()),
         HeapOptions {
-            pool_pages: 4,
             fsync: FsyncPolicy::EveryCommit,
         },
     )
@@ -419,9 +418,6 @@ fn storage_counters_round_trip_through_both_expositions() {
         expo::parse(&page).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{page}"));
     let registry = db.metrics_registry();
     for family in [
-        "pascalr_buffer_pool_hits_total",
-        "pascalr_buffer_pool_misses_total",
-        "pascalr_buffer_pool_evictions_total",
         "pascalr_wal_appends_total",
         "pascalr_wal_bytes_total",
         "pascalr_wal_fsyncs_total",
@@ -439,9 +435,7 @@ fn storage_counters_round_trip_through_both_expositions() {
             "{family} missing from the JSON rendering"
         );
     }
-    // The reopen replayed the logged ANALYZE and re-read the checkpointed
-    // pages through the pool.
+    // The reopen replayed the logged ANALYZE.
     assert!(registry.counter_total("pascalr_recovery_replays_total") >= 1);
-    assert!(registry.counter_total("pascalr_buffer_pool_misses_total") > 0);
     assert!(registry.counter_total("pascalr_checkpoints_total") >= 1);
 }
