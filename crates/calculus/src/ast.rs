@@ -18,7 +18,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use pascalr_relation::{CompareOp, Value};
-use serde::{Deserialize, Serialize};
 
 /// Name of an element variable (e.g. `e`, `p`, `c`, `t`).
 pub type VarName = Arc<str>;
@@ -27,7 +26,7 @@ pub type VarName = Arc<str>;
 pub type RelName = Arc<str>;
 
 /// A component access `var.attr`, e.g. `e.ename`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ComponentRef {
     /// The element variable.
     pub var: VarName,
@@ -55,7 +54,7 @@ impl fmt::Display for ComponentRef {
 pub type ParamName = Arc<str>;
 
 /// One side of a join-term comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A component of an element variable, e.g. `e.enr`.
     Component(ComponentRef),
@@ -110,7 +109,7 @@ impl fmt::Display for Operand {
 }
 
 /// An atomic formula.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A join term `left OP right`.
     Compare {
@@ -243,7 +242,7 @@ impl fmt::Display for Term {
 }
 
 /// The two quantifiers of the calculus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quantifier {
     /// `SOME rec IN rel (...)` — existential quantification.
     Some,
@@ -281,7 +280,7 @@ impl fmt::Display for Quantifier {
 /// range expression — a restriction of a database relation by a formula
 /// over the bound variable (`e IN [EACH e IN employees: e.estatus =
 /// professor]`, Strategy 3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RangeExpr {
     /// The underlying database relation.
     pub relation: RelName,
@@ -335,7 +334,7 @@ impl RangeExpr {
 
 /// A range-coupled variable declaration, e.g. `EACH e IN employees` or
 /// `SOME t IN timetable`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RangeDecl {
     /// The bound variable.
     pub var: VarName,
@@ -365,7 +364,7 @@ impl fmt::Display for RangeDecl {
 }
 
 /// A well-formed formula of the many-sorted calculus.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Formula {
     /// An atomic formula (join term or boolean constant).
     Term(Term),
@@ -678,7 +677,7 @@ impl fmt::Display for Formula {
 
 /// A complete selection statement:
 /// `target := [<components> OF EACH v IN range, ...: formula]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Selection {
     /// Name of the target relation being assigned (e.g. `enames`).
     pub target: String,

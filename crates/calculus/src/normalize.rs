@@ -27,14 +27,12 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{
     ComponentRef, Formula, Quantifier, RangeDecl, RangeExpr, RelName, Selection, Term, VarName,
 };
 
 /// One entry of the quantifier prefix, e.g. `ALL p IN papers`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixEntry {
     /// The quantifier.
     pub q: Quantifier,
@@ -58,7 +56,7 @@ impl fmt::Display for PrefixEntry {
 }
 
 /// A conjunction of join terms (one disjunct of the DNF matrix).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Conjunction {
     /// The AND-connected join terms.  An empty list denotes `true`.
     pub terms: Vec<Term>,
@@ -146,7 +144,7 @@ impl fmt::Display for Conjunction {
 
 /// A selection expression in standard form: quantifier prefix plus a matrix
 /// in disjunctive normal form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StandardForm {
     /// Quantifier prefix, outermost first.
     pub prefix: Vec<PrefixEntry>,
@@ -236,7 +234,7 @@ impl fmt::Display for StandardForm {
 }
 
 /// A selection whose formula has been brought into standard form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StandardizedSelection {
     /// Name of the target relation.
     pub target: String,

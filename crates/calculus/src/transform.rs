@@ -16,8 +16,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(test)]
 use crate::ast::RangeDecl;
 use crate::ast::{Formula, Quantifier, RangeExpr, Term, VarName};
@@ -25,7 +23,7 @@ use crate::error::CalculusError;
 use crate::normalize::{Conjunction, StandardForm, StandardizedSelection};
 
 /// How a monadic restriction was hoisted into a range expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HoistKind {
     /// The term was a conjunct of *every* conjunction of the matrix
     /// (exact factorization) — unconditionally valid.
@@ -41,7 +39,7 @@ pub enum HoistKind {
 }
 
 /// One hoist performed by [`extend_ranges`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hoist {
     /// The variable whose range was extended.
     pub var: VarName,
@@ -56,7 +54,7 @@ pub struct Hoist {
 /// A non-emptiness assumption introduced by a distributive hoist: the
 /// extended range of `var` must be non-empty for the transformed query to be
 /// equivalent; otherwise the caller must fall back to the un-extended form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtendedRangeAssumption {
     /// The variable whose extended range must be non-empty.
     pub var: VarName,
@@ -65,7 +63,7 @@ pub struct ExtendedRangeAssumption {
 }
 
 /// Report of an [`extend_ranges`] run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExtendReport {
     /// All hoists performed, in order.
     pub hoists: Vec<Hoist>,
@@ -83,7 +81,7 @@ impl ExtendReport {
 }
 
 /// Options controlling [`extend_ranges`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtendOptions {
     /// Whether disjunctive restrictions may be generated when folding a
     /// multi-term pure conjunction of a universally quantified variable into

@@ -15,9 +15,8 @@
 //!   `(epoch, stats_epoch)` after recovery equals the pre-crash value by
 //!   construction, not by storing it.
 //!
-//! Tuples are encoded self-contained (enum values carry their full type)
-//! because the vendored `serde` derives are no-ops: nothing here relies on
-//! derive-based serialization.
+//! Tuples are encoded self-contained (enum values carry their full type),
+//! by hand: the workspace has no serialization framework.
 
 use std::collections::BTreeMap;
 

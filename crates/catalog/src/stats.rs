@@ -17,7 +17,6 @@
 use std::collections::{BTreeMap, HashSet};
 
 use pascalr_relation::{CompareOp, Relation, Value};
-use serde::{Deserialize, Serialize};
 
 /// Number of buckets of the per-column equi-width histograms.
 pub const HISTOGRAM_BUCKETS: usize = 16;
@@ -25,7 +24,7 @@ pub const HISTOGRAM_BUCKETS: usize = 16;
 /// A small equi-width histogram over an integer component's `[min, max]`
 /// range.  Bucket `i` counts the values in
 /// `[min + i*width, min + (i+1)*width)` (the last bucket is closed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Lower bound of the first bucket (the observed minimum).
     pub min: i64,
@@ -89,7 +88,7 @@ impl Histogram {
 }
 
 /// Statistics for a single component of a relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Component name.
     pub name: String,
@@ -108,7 +107,7 @@ pub struct ColumnStats {
 }
 
 /// Statistics for a whole relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationStats {
     /// Relation name.
     pub relation: String,

@@ -143,7 +143,11 @@ impl RefRel {
     /// reference in `divisor`.  Used for universal quantification.
     ///
     /// Returns the quotient over the remaining variables together with the
-    /// number of membership checks performed (for the metrics).
+    /// unit the metrics record as comparisons: groups × |divisor|, one
+    /// nominal check per divisor reference per group.  That is not a count
+    /// of comparisons actually performed (a group's membership is decided
+    /// by one size test), so read it as division work, not as Section 4's
+    /// comparisons.
     pub fn divide_by(&self, var: &str, divisor: &[ElemRef]) -> (RefRel, u64) {
         let Some(div_col) = self.col(var) else {
             unreachable!("division column exists")

@@ -411,8 +411,8 @@ impl Registry {
         out
     }
 
-    /// Render the registry as a JSON document (hand-rolled: the vendored
-    /// serde derives are no-ops). Metric names and label keys are static
+    /// Render the registry as a JSON document (hand-rolled: the workspace
+    /// has no serialization framework). Metric names and label keys are static
     /// identifiers, so no string escaping is required beyond quoting.
     #[must_use]
     pub fn to_json(&self) -> String {

@@ -11,8 +11,6 @@
 //! (tuples read, comparisons, intermediate tuples, dereferences), so
 //! estimated and actual cost live in the same units.
 
-use serde::{Deserialize, Serialize};
-
 use pascalr_calculus::{Conjunction, Quantifier, RangeExpr, StandardizedSelection, Term, VarName};
 use pascalr_relation::CompareOp;
 
@@ -31,7 +29,7 @@ use crate::view::StatsView;
 /// fewer conjunctions, an S4 plan passes its quantifier steps — so
 /// `extended_ranges` and `collection_quantifiers` record the repertoire
 /// for reporting and must be paired with a matching plan shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StrategyFeatures {
     /// Strategy 1: all join-term work on a relation happens in one scan.
     pub parallel_scans: bool,
@@ -50,7 +48,7 @@ pub struct StrategyFeatures {
 ///
 /// Tuples read and comparisons are unit work; materializing an intermediate
 /// tuple and dereferencing cost more (they allocate / chase references).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of one element read from a database relation.
     pub tuple_read: f64,
@@ -74,7 +72,7 @@ impl Default for CostWeights {
 }
 
 /// Predicted values of the paper's observable cost counters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostEstimate {
     /// Elements read from database relations.
     pub tuples_read: f64,
@@ -122,7 +120,7 @@ pub struct SemijoinInfo {
 }
 
 /// Estimated output cardinality of one conjunction of the matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConjunctionEstimate {
     /// Conjunction index (0-based, matching the prepared matrix).
     pub index: usize,
@@ -131,7 +129,7 @@ pub struct ConjunctionEstimate {
 }
 
 /// The full prediction for one candidate plan shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanEstimate {
     /// Per-conjunction output-row estimates.
     pub per_conjunction: Vec<ConjunctionEstimate>,

@@ -15,7 +15,6 @@ use pascalr_calculus::{
     StandardizedSelection, Term, VarName,
 };
 use pascalr_optimizer::{ConjunctionEstimate, CostEstimate};
-use serde::{Deserialize, Serialize};
 
 use crate::strategy::StrategyLevel;
 
@@ -26,7 +25,7 @@ use crate::strategy::StrategyLevel;
 /// Estimates are *advisory*: they never change which tuples qualify, only
 /// which plan shape is chosen, and they are excluded from plan equality
 /// (two plans differing only in their estimates are interchangeable).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanEstimates {
     /// Estimated reference-row output of each conjunction of the prepared
     /// matrix (index-aligned; compare with the `refrel_c<i>` structure
@@ -48,7 +47,7 @@ pub struct PlanEstimates {
 
 /// How the value list of a collection-phase quantifier step is reduced
 /// (Section 4.4's special cases).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueListMode {
     /// The full value list is kept.
     Full,
@@ -77,7 +76,7 @@ impl ValueListMode {
 
 /// A dyadic link between the target variable and the bound (quantified)
 /// variable of a semijoin step: `target.target_attr OP bound.bound_attr`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DyadicLink {
     /// Component of the target (outer) variable.
     pub target_attr: Arc<str>,
@@ -101,7 +100,7 @@ impl fmt::Display for DyadicLink {
 /// collection phase using a value list, producing a derived predicate on
 /// `target_var` (the paper's `cset`/`tset`/`pset` constructions of
 /// Example 4.7).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SemijoinStep {
     /// The quantifier being evaluated early.
     pub quantifier: Quantifier,
@@ -145,7 +144,7 @@ impl fmt::Display for SemijoinStep {
 }
 
 /// The complete plan for one selection at one strategy level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// The strategy level the plan was built for.  Plans requested at
     /// [`StrategyLevel::Auto`] record the *chosen* fixed level here (the

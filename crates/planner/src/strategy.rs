@@ -3,13 +3,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How much of Section 4's optimization repertoire the planner applies.
 ///
 /// Levels are *cumulative*: `S2OneStep` includes parallel evaluation,
 /// `S4CollectionQuantifiers` includes everything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StrategyLevel {
     /// Naive baseline (Palermo-style, Section 3.3 taken literally): every
     /// monadic and dyadic join term is evaluated by its own scan of the

@@ -15,10 +15,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a relation variable within a database catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RelId(pub u32);
 
 impl RelId {
@@ -44,7 +42,7 @@ impl fmt::Display for RelId {
 }
 
 /// Identifier of a row slot within a relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowId(pub u32);
 
 impl fmt::Display for RowId {
@@ -59,7 +57,7 @@ impl fmt::Display for RowId {
 /// reference relations can be stored, joined, projected and divided cheaply —
 /// this is the data-compression step of the paper's collection phase
 /// ("records to references").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ElemRef {
     /// The relation the referenced element lives in.
     pub rel: RelId,

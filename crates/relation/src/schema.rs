@@ -19,14 +19,12 @@
 use pascalr_sync::Arc;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RelationError;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
 
 /// A single named, typed component of a relation schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Component identifier, e.g. `enr`.
     pub name: Arc<str>,
@@ -45,7 +43,7 @@ impl Attribute {
 }
 
 /// The schema (heading and key) of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationSchema {
     /// Relation variable name, e.g. `employees`.
     pub name: Arc<str>,
@@ -256,7 +254,7 @@ impl fmt::Display for RelationSchema {
 
 /// The key value of a relation element, used by the key-oriented selector
 /// `rel[keyval]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Key(pub Box<[Value]>);
 
 impl Key {

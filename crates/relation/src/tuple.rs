@@ -3,8 +3,6 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// A relation element: an ordered list of component values.
@@ -12,7 +10,7 @@ use crate::value::Value;
 /// Tuples are immutable once constructed; updates in PASCAL/R are expressed
 /// as deletion plus insertion (or assignment of a whole new relation value),
 /// which keeps element references stable for live elements.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Tuple(Box<[Value]>);
 
 impl Tuple {

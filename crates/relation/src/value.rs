@@ -17,8 +17,6 @@ use pascalr_sync::Arc;
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RelationError;
 use crate::refs::ElemRef;
 
@@ -27,7 +25,7 @@ use crate::refs::ElemRef;
 ///
 /// Enumeration values are ordered by their ordinal (declaration order), which
 /// is what makes comparisons such as `c.clevel <= sophomore` meaningful.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EnumType {
     /// Type name, e.g. `statustype`.
     pub name: Arc<str>,
@@ -98,7 +96,7 @@ impl EnumType {
 }
 
 /// A value of an enumeration type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnumValue {
     /// The enumeration type this value belongs to.
     pub ty: Arc<EnumType>,
@@ -130,7 +128,7 @@ impl std::hash::Hash for EnumValue {
 }
 
 /// The kinds of types a relation component may have.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// PASCAL `boolean`.
     Bool,
@@ -232,7 +230,7 @@ impl ValueType {
 }
 
 /// A single PASCAL/R component value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// Boolean value.
     Bool(bool),
@@ -377,7 +375,7 @@ impl From<ElemRef> for Value {
 
 /// The six comparison operators of PASCAL/R join terms:
 /// `=`, `<>`, `<`, `<=`, `>`, `>=`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// `=`
     Eq,

@@ -1,7 +1,7 @@
 //! Minimal hand-rolled binary codec used by the persistent backend.
 //!
-//! The workspace's vendored `serde` derives expand to nothing, so every
-//! persisted structure is encoded by hand through these primitives. The
+//! The workspace has no serialization framework, so every persisted
+//! structure is encoded by hand through these primitives. The
 //! format is little-endian, length-prefixed, and deliberately boring: a
 //! reopened database must decode bytes written by an older process, so
 //! there is no implicit schema — every reader states exactly what it

@@ -45,10 +45,9 @@ use pascalr_sync::Arc;
 use std::collections::BTreeMap;
 
 use pascalr_sync::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// The phase of the evaluation procedure a measurement belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Collection phase: range expressions and single join terms.
     Collection,
@@ -90,7 +89,7 @@ impl Phase {
 }
 
 /// Plain-old-data snapshot of one phase's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Number of full relation scans (`FOR EACH r IN rel` loops over a
     /// database relation).
@@ -317,8 +316,8 @@ impl Metrics {
     }
 }
 
-/// A point-in-time copy of all metrics, serializable for reports.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A point-in-time copy of all metrics, for reports.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counters per phase, keyed by phase name.
     pub per_phase: BTreeMap<String, Counters>,

@@ -16,10 +16,8 @@
 //! and the default `tuples_per_page = 32` keeps cost numbers comparable
 //! with earlier experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the page model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageModel {
     /// Number of relation elements stored per page.
     pub tuples_per_page: u64,

@@ -24,7 +24,8 @@ pub const WAL_FRAME_HEADER: usize = 8;
 
 /// Upper bound on a single WAL payload; frames claiming more are treated
 /// as a torn tail, bounding what a corrupted length prefix can make the
-/// replayer allocate.
+/// replayer allocate.  [`WalWriter::append`] refuses larger payloads, so
+/// every acknowledged record replays.
 pub const MAX_WAL_PAYLOAD: usize = 1 << 28;
 
 /// When the WAL forces appended records to durable storage.
@@ -196,8 +197,18 @@ impl WalWriter {
     }
 
     /// Append one framed payload, fsyncing per the policy. Returns after
-    /// the record is durable to the degree the policy promises.
+    /// the record is durable to the degree the policy promises.  A payload
+    /// longer than [`MAX_WAL_PAYLOAD`] is refused before anything is
+    /// written: replay would drop its frame as a torn tail.
     pub fn append(&self, payload: &[u8]) -> Result<(), StorageError> {
+        if payload.len() > MAX_WAL_PAYLOAD {
+            return Err(StorageError::Unsupported {
+                detail: format!(
+                    "a WAL record of {} byte(s) exceeds the {MAX_WAL_PAYLOAD}-byte limit",
+                    payload.len()
+                ),
+            });
+        }
         let mut framed = Vec::with_capacity(WAL_FRAME_HEADER + payload.len());
         framed.extend_from_slice(&frame_header(payload)?);
         framed.extend_from_slice(payload);
@@ -339,6 +350,32 @@ mod tests {
         let raw = fs.read("w1").unwrap().unwrap();
         let out = replay(&raw);
         assert_eq!(out.records, vec![b"a".to_vec(), b"b".to_vec()]);
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_anything_is_written() {
+        let fs = Arc::new(MemFs::new());
+        let w = WalWriter::new(
+            fs.clone() as Arc<dyn StorageFs>,
+            "wal.0.log".to_string(),
+            FsyncPolicy::EveryCommit,
+            StorageCounters::detached(),
+        );
+        w.append(b"kept").unwrap();
+        let before = fs.read("wal.0.log").unwrap().unwrap();
+        let (appends, bytes) = (w.counters().wal_appends.get(), w.counters().wal_bytes.get());
+
+        // Zeroed lazily and refused before the CRC, so this stays cheap.
+        let oversized = vec![0u8; MAX_WAL_PAYLOAD + 1];
+        assert!(matches!(
+            w.append(&oversized),
+            Err(StorageError::Unsupported { .. })
+        ));
+        let after = fs.read("wal.0.log").unwrap().unwrap();
+        assert_eq!(after, before);
+        assert_eq!(w.counters().wal_appends.get(), appends);
+        assert_eq!(w.counters().wal_bytes.get(), bytes);
+        assert_eq!(replay(&after).records, vec![b"kept".to_vec()]);
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! End-to-end reproduction of the paper's worked examples (E3, E6–E8, E12)
-//! through the public `Database` facade.
+//! End-to-end reproduction of the paper's worked examples (E3, E8, E12)
+//! through the public `Database` facade.  The strategies' costs in the
+//! paper's units (E6–E10) are asserted over the cost ledger
+//! (`tests/cost_ledger.rs`).
 
 use pascalr::{Database, StrategyLevel};
 use pascalr_calculus::{standardize, Quantifier};
@@ -53,55 +55,6 @@ fn examples_2_1_4_5_and_4_7_return_the_same_result() {
                 "query formulation differs at {level}"
             );
         }
-    }
-}
-
-#[test]
-fn strategy_metrics_reproduce_the_papers_claims() {
-    // E6: with Strategy 1 every relation is read no more than once.
-    // E7: Strategy 3 removes a conjunction and shrinks candidate sets.
-    // E8: Strategy 4 reduces combination-phase work further.
-    // (Scale 1 keeps the baseline's deliberately combinatorial combination
-    // phase fast enough for the test suite; the benches sweep larger scales.)
-    let db = Database::from_catalog(generate(&UniversityConfig::at_scale(1)).unwrap());
-    let outcomes = db.compare_strategies(EXAMPLE_2_1_QUERY).unwrap();
-    let scans: Vec<u64> = outcomes
-        .iter()
-        .map(|o| o.report.metrics.total().relation_scans)
-        .collect();
-    let max_scans: Vec<u64> = outcomes
-        .iter()
-        .map(|o| o.report.metrics.max_scans_per_relation())
-        .collect();
-    let intermediates: Vec<u64> = outcomes
-        .iter()
-        .map(|o| o.report.metrics.total().intermediate_tuples)
-        .collect();
-    let conjunctions: Vec<usize> = outcomes
-        .iter()
-        .map(|o| o.plan.prepared.form.conjunction_count())
-        .collect();
-
-    // Baseline reads relations repeatedly; Strategy 1 reads each exactly once.
-    assert!(scans[0] > scans[1], "scans: {scans:?}");
-    assert_eq!(max_scans[1], 1, "max scans per relation at S1");
-    assert_eq!(max_scans[4], 1, "max scans per relation at S4");
-    // Strategy 3 removes one conjunction (3 → 2).
-    assert_eq!(conjunctions[0], 3);
-    assert_eq!(conjunctions[3], 2);
-    // Intermediate structures shrink monotonically from S1 through S4.
-    assert!(intermediates[2] <= intermediates[1]);
-    assert!(
-        intermediates[3] < intermediates[2],
-        "intermediates: {intermediates:?}"
-    );
-    assert!(
-        intermediates[4] < intermediates[0],
-        "intermediates: {intermediates:?}"
-    );
-    // Results identical everywhere.
-    for pair in outcomes.windows(2) {
-        assert!(pair[0].result.set_eq(&pair[1].result));
     }
 }
 

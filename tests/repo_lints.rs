@@ -46,9 +46,8 @@ const BANNED_FS: [&str; 1] = ["std::fs"];
 
 /// Crates whose `src/` trees are scanned (every workspace library crate;
 /// `src` is the root facade crate).
-const LIB_CRATES: [&str; 15] = [
+const LIB_CRATES: [&str; 14] = [
     "crates/analysis",
-    "crates/bench",
     "crates/calculus",
     "crates/catalog",
     "crates/core",
