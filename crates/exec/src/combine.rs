@@ -10,77 +10,56 @@
 use pascalr_sync::Arc;
 use std::collections::{HashMap, HashSet};
 
-use pascalr_calculus::{Conjunction, Quantifier, Term, VarName};
+use pascalr_calculus::{Conjunction, Quantifier, VarName};
 use pascalr_catalog::Catalog;
 use pascalr_planner::QueryPlan;
-use pascalr_relation::{CompareOp, ElemRef, HashIndex, Value};
+use pascalr_relation::{CompareOp, ElemRef, HashIndex, Tuple};
 use pascalr_storage::{Metrics, Phase};
 
-use crate::collection::{CollectionOutput, ConjStructures};
+use crate::collection::{counted, CollectionOutput, ConjStructures};
 use crate::error::ExecError;
 use crate::refrel::RefRel;
 
-/// Reads the value of `var.attr` for a referenced element.
-fn component_value<'a>(
+/// Dereferences an element through the relation its reference names.
+pub(crate) fn deref(catalog: &Catalog, elem: ElemRef) -> Result<&Tuple, ExecError> {
+    let rel = catalog
+        .relation_by_id(elem.rel)
+        .ok_or_else(|| ExecError::PlanInvariant {
+            detail: format!("reference {elem} names no relation of this catalog version"),
+        })?;
+    Ok(rel.deref(elem)?)
+}
+
+/// The position of `var.attr` in the schema of the relation `var` ranges
+/// over.
+fn component_index(
     collection: &CollectionOutput,
-    catalog: &'a Catalog,
     var: &str,
     attr: &str,
-    elem: ElemRef,
-) -> Result<&'a Value, ExecError> {
+) -> Result<usize, ExecError> {
     let info = collection
         .var_info
         .get(var)
         .ok_or_else(|| ExecError::PlanInvariant {
             detail: format!("no binding information for variable {var}"),
         })?;
-    let rel = catalog.relation(&info.relation)?;
-    let idx = info
-        .schema
+    info.schema
         .attr_index(attr)
         .ok_or_else(|| ExecError::UnknownComponent {
             variable: var.to_string(),
             attribute: attr.to_string(),
-        })?;
-    Ok(rel.deref(elem)?.get(idx))
-}
-
-/// Evaluates a dyadic term for a pair of bound references.
-#[allow(clippy::too_many_arguments)] // the two (var, ref) pairs are symmetric by design
-fn dyadic_holds(
-    term: &Term,
-    collection: &CollectionOutput,
-    catalog: &Catalog,
-    left_var: &str,
-    left: ElemRef,
-    right_var: &str,
-    right: ElemRef,
-    metrics: &Metrics,
-) -> Result<bool, ExecError> {
-    let (left_attr, op, other_var, right_attr) =
-        term.as_dyadic_over(left_var)
-            .ok_or_else(|| ExecError::PlanInvariant {
-                detail: format!("term {term} is not dyadic over {left_var}"),
-            })?;
-    debug_assert_eq!(other_var.as_ref(), right_var);
-    let lv = component_value(collection, catalog, left_var, &left_attr, left)?;
-    let rv = component_value(collection, catalog, right_var, &right_attr, right)?;
-    metrics.record_comparisons(Phase::Combination, 1);
-    Ok(op.eval(lv, rv)?)
+        })
 }
 
 /// The equality indirect-join probe one [`Stage`] uses to narrow its
 /// candidate references per prefix row.
 #[derive(Debug)]
 pub(crate) struct EqProbe {
-    /// Index of the indirect join in the conjunction's [`ConjStructures`].
+    /// Index of the indirect join in the conjunction's [`ConjStructures`];
+    /// the collection phase built its probe map for this stage.
     ij: usize,
     /// Column (within the prior variables) holding the probe reference.
     other_col: usize,
-    /// Whether the stage's variable is the indirect join's *left* variable
-    /// (then the `by_right` map is probed with the prior column's
-    /// reference).
-    var_is_left: bool,
 }
 
 /// A **permanent-index** probe: used when the collection phase skipped
@@ -96,19 +75,24 @@ pub(crate) struct PermProbe {
     index: Arc<HashIndex>,
     /// Column (within the prior variables) holding the probing reference.
     other_col: usize,
-    /// Relation of the prior column's variable.
-    other_rel: Arc<str>,
-    /// Component index (in that relation's schema) whose value probes the
-    /// index.
+    /// Component index (in the prior column's relation) whose value probes
+    /// the index.
     other_attr: usize,
 }
 
-/// A dyadic term connecting a stage's variable to an earlier column.
+/// A dyadic term connecting a stage's variable to an earlier column,
+/// resolved at assembly into component positions: the check is
+/// `stage.attr OP other.other_attr`, normalised so that the stage variable
+/// is on the left (as [`pascalr_calculus::Term::as_dyadic_over`] does).
 #[derive(Debug)]
 pub(crate) struct StageCheck {
-    term: Term,
-    other: VarName,
+    /// Component index in the stage variable's relation.
+    attr: usize,
+    op: CompareOp,
+    /// Column (within the prior variables) holding the other reference.
     other_col: usize,
+    /// Component index in the other variable's relation.
+    other_attr: usize,
 }
 
 /// One step of a conjunction's reference-relation assembly: extend the
@@ -118,9 +102,11 @@ pub(crate) struct StageCheck {
 /// variable the conjunction does not mention); otherwise each candidate is
 /// admitted per prefix row by evaluating the connecting dyadic terms.
 ///
-/// Stages are precomputed from the plan alone, so the same stage list
-/// drives both the materialized assembly ([`run_combination`]) and the
-/// executor's streaming cursor, which pipelines the *final* stage
+/// Stages are precomputed from the plan alone, with every name resolved:
+/// checks and probes hold column and component positions, and references
+/// are dereferenced through the relation id they carry.  The same stage
+/// list drives both the materialized assembly ([`run_combination`]) and
+/// the executor's streaming cursor, which pipelines the *final* stage
 /// tuple-by-tuple.
 #[derive(Debug)]
 pub(crate) struct Stage {
@@ -143,71 +129,63 @@ impl Stage {
         self.checks.is_empty()
     }
 
+    /// Whether [`Stage::probe`] probes an index (one probe per prefix row)
+    /// rather than returning the full candidate list.
+    pub(crate) fn probes_index(&self) -> bool {
+        self.eq_probe.is_some() || self.perm_probe.is_some()
+    }
+
     /// The candidate references to try against `row`.  With an equality
     /// indirect join available this probes its reference map; with a
-    /// covering permanent index it probes the maintained index by value
-    /// (recording the probe when `record_probe` is set — streaming callers
-    /// touch the same row repeatedly and must record it only once);
-    /// otherwise the full candidate list is returned.
+    /// covering permanent index it probes the maintained index by value;
+    /// otherwise the full candidate list is returned.  The caller counts
+    /// the probe (see [`Stage::probes_index`]).
     pub(crate) fn probe<'s>(
         &'s self,
         row: &[ElemRef],
         structures: &'s ConjStructures,
         catalog: &Catalog,
-        metrics: &Metrics,
-        record_probe: bool,
     ) -> Result<&'s [ElemRef], ExecError> {
         if let Some(p) = &self.eq_probe {
-            let ij = &structures.indirect_joins[p.ij];
-            let map = if p.var_is_left {
-                &ij.by_right
-            } else {
-                &ij.by_left
-            };
-            if record_probe {
-                metrics.record_index_probes(Phase::Combination, 1);
-            }
+            let (_, map) = structures.indirect_joins[p.ij]
+                .probe
+                .as_ref()
+                .ok_or_else(|| ExecError::PlanInvariant {
+                    detail: format!("the indirect join {} has no probe map", p.ij),
+                })?;
             return Ok(map.get(&row[p.other_col]).map_or(&[], Vec::as_slice));
         }
         if let Some(p) = &self.perm_probe {
-            let rel = catalog.relation(&p.other_rel)?;
-            let value = rel.deref(row[p.other_col])?.get(p.other_attr);
-            if record_probe {
-                metrics.record_index_probes(Phase::Combination, 1);
-            }
+            let value = deref(catalog, row[p.other_col])?.get(p.other_attr);
             return Ok(p.index.probe_value(value));
         }
         Ok(&self.candidates)
     }
 
     /// Whether `cand` extends `row` (candidate-set membership plus every
-    /// connecting dyadic term).
+    /// connecting dyadic term), adding the terms evaluated to
+    /// `comparisons`.
     pub(crate) fn admits(
         &self,
         cand: ElemRef,
         row: &[ElemRef],
-        collection: &CollectionOutput,
         catalog: &Catalog,
-        metrics: &Metrics,
+        comparisons: &mut u64,
     ) -> Result<bool, ExecError> {
         if self.checks.is_empty() {
             return Ok(true);
         }
-        if (self.eq_probe.is_some() || self.perm_probe.is_some()) && !self.cand_set.contains(&cand)
-        {
+        if self.probes_index() && !self.cand_set.contains(&cand) {
             return Ok(false);
         }
+        let tuple = deref(catalog, cand)?;
         for check in &self.checks {
-            if !dyadic_holds(
-                &check.term,
-                collection,
-                catalog,
-                self.var.as_ref(),
-                cand,
-                check.other.as_ref(),
-                row[check.other_col],
-                metrics,
-            )? {
+            let other = deref(catalog, row[check.other_col])?;
+            *comparisons += 1;
+            if !check
+                .op
+                .eval(tuple.get(check.attr), other.get(check.other_attr))?
+            {
                 return Ok(false);
             }
         }
@@ -227,7 +205,7 @@ pub(crate) struct ConjAssembly {
 /// relation holding exactly one empty row.
 pub(crate) fn base_refrel() -> RefRel {
     let mut base = RefRel::new(Vec::new());
-    base.push(Vec::new());
+    base.push(&[]);
     base
 }
 
@@ -237,8 +215,8 @@ pub(crate) fn base_refrel() -> RefRel {
 /// conjunction".  The collection phase calls this too, to predict which
 /// side of an equality term the combination phase will probe (the side a
 /// covering permanent index lets it skip materializing the indirect join
-/// for), and the planner/cost model mirror the same decision procedure at
-/// plan time.
+/// for, and the side whose probe map it builds), and the planner/cost
+/// model mirror the same decision procedure at plan time.
 pub(crate) fn assembly_var_order(
     conj: &Conjunction,
     all_vars: &[VarName],
@@ -248,17 +226,19 @@ pub(crate) fn assembly_var_order(
 }
 
 /// Precomputes the assembly stages of one conjunction (see
-/// [`assembly_var_order`] for the stage order).  The catalog is consulted
-/// for covering permanent indexes: an equality term whose indirect join
-/// the collection phase skipped gets a [`PermProbe`] against the
-/// maintained index instead.
+/// [`assembly_var_order`] for the stage order), resolving every connecting
+/// term into a [`StageCheck`].  A stage probes the indirect join the
+/// collection phase built a probe map for on its behalf; failing that,
+/// the catalog is consulted for covering permanent indexes: an equality
+/// term whose indirect join the collection phase skipped gets a
+/// [`PermProbe`] against the maintained index instead.
 pub(crate) fn conjunction_assembly(
     plan: &QueryPlan,
     ci: usize,
     all_vars: &[VarName],
     collection: &CollectionOutput,
     catalog: &Catalog,
-) -> ConjAssembly {
+) -> Result<ConjAssembly, ExecError> {
     let conj = &plan.prepared.form.matrix[ci];
     let structures = &collection.per_conjunction[ci];
 
@@ -272,51 +252,39 @@ pub(crate) fn conjunction_assembly(
             None => collection.candidates[var.as_ref()].clone(),
         };
         // Dyadic terms linking `var` to variables already assembled.
-        let checks: Vec<StageCheck> = conj
-            .terms
+        let mut checks = Vec::new();
+        for term in &conj.terms {
+            let Some((attr, op, other, other_attr)) = term.as_dyadic_over(var) else {
+                continue;
+            };
+            let Some(other_col) = prior.iter().position(|p| p.as_ref() == other.as_ref()) else {
+                continue;
+            };
+            checks.push(StageCheck {
+                attr: component_index(collection, var, &attr)?,
+                op,
+                other_col,
+                other_attr: component_index(collection, &other, &other_attr)?,
+            });
+        }
+        // Probe the equality indirect join built for this stage, if any.
+        let eq_probe = structures
+            .indirect_joins
             .iter()
-            .filter(|t| t.is_dyadic() && t.mentions(var))
-            .filter_map(|t| {
-                let other = t.vars().into_iter().find(|v| v.as_ref() != var.as_ref())?;
+            .enumerate()
+            .find_map(|(idx, ij)| {
+                let (probing, _) = ij.probe.as_ref()?;
+                if probing.as_ref() != var.as_ref() {
+                    return None;
+                }
+                let other = if ij.left_var.as_ref() == var.as_ref() {
+                    &ij.right_var
+                } else {
+                    &ij.left_var
+                };
                 let other_col = prior.iter().position(|p| p.as_ref() == other.as_ref())?;
-                Some(StageCheck {
-                    term: t.clone(),
-                    other,
-                    other_col,
-                })
-            })
-            .collect();
-        // Prefer probing an equality indirect join if one exists.
-        let eq_probe = if checks.is_empty() {
-            None
-        } else {
-            structures
-                .indirect_joins
-                .iter()
-                .enumerate()
-                .find_map(|(idx, ij)| {
-                    let (other, var_is_left) = if ij.left_var.as_ref() == var.as_ref() {
-                        (&ij.right_var, true)
-                    } else if ij.right_var.as_ref() == var.as_ref() {
-                        (&ij.left_var, false)
-                    } else {
-                        return None;
-                    };
-                    let other_col = prior.iter().position(|p| p.as_ref() == other.as_ref())?;
-                    matches!(
-                        ij.term,
-                        Term::Compare {
-                            op: CompareOp::Eq,
-                            ..
-                        }
-                    )
-                    .then_some(EqProbe {
-                        ij: idx,
-                        other_col,
-                        var_is_left,
-                    })
-                })
-        };
+                Some(EqProbe { ij: idx, other_col })
+            });
         // No materialized indirect join for an equality check: the
         // collection phase skipped it because a permanent index covers the
         // stage variable's component — probe the maintained index instead.
@@ -324,19 +292,16 @@ pub(crate) fn conjunction_assembly(
             None
         } else {
             checks.iter().find_map(|check| {
-                let (var_attr, op, _, other_attr) = check.term.as_dyadic_over(var)?;
-                if op != CompareOp::Eq {
+                if check.op != CompareOp::Eq {
                     return None;
                 }
                 let var_info = collection.var_info.get(var.as_ref())?;
-                let other_info = collection.var_info.get(check.other.as_ref())?;
-                let other_idx = other_info.schema.attr_index(&other_attr)?;
-                let use_ = catalog.permanent_index(&var_info.relation, &[&var_attr])?;
+                let attr = &var_info.schema.attribute(check.attr).name;
+                let use_ = catalog.permanent_index(&var_info.relation, &[attr.as_ref()])?;
                 Some(PermProbe {
                     index: use_.index,
                     other_col: check.other_col,
-                    other_rel: other_info.relation.clone(),
-                    other_attr: other_idx,
+                    other_attr: check.other_attr,
                 })
             })
         };
@@ -358,18 +323,18 @@ pub(crate) fn conjunction_assembly(
         });
     }
 
-    ConjAssembly {
+    Ok(ConjAssembly {
         stages,
         var_order: order,
-    }
+    })
 }
 
 /// Extends the partial reference relation by one stage (materialized form),
-/// recording the stage's intermediate size.
+/// recording the stage's intermediate size.  Probes and comparisons are
+/// counted locally and recorded once.
 pub(crate) fn apply_stage(
     current: RefRel,
     stage: &Stage,
-    collection: &CollectionOutput,
     structures: &ConjStructures,
     catalog: &Catalog,
     metrics: &Metrics,
@@ -381,16 +346,21 @@ pub(crate) fn apply_stage(
         let mut vars = current.vars().to_vec();
         vars.push(stage.var.clone());
         let mut next = RefRel::new(vars);
-        for row in current.rows() {
-            let cands = stage.probe(row, structures, catalog, metrics, true)?;
-            for &cand in cands {
-                if stage.admits(cand, row, collection, catalog, metrics)? {
-                    let mut new_row = row.to_vec();
-                    new_row.push(cand);
-                    next.push(new_row);
+        let mut probes = 0u64;
+        let extended = counted(metrics, Phase::Combination, |comparisons| {
+            for row in current.rows() {
+                let cands = stage.probe(row, structures, catalog)?;
+                probes += u64::from(stage.probes_index());
+                for &cand in cands {
+                    if stage.admits(cand, row, catalog, comparisons)? {
+                        next.push_extended(row, cand);
+                    }
                 }
             }
-        }
+            Ok(())
+        });
+        metrics.record_index_probes(Phase::Combination, probes);
+        extended?;
         next
     };
     metrics.record_intermediate(Phase::Combination, next.len() as u64);
@@ -407,11 +377,11 @@ fn conjunction_refrel(
     catalog: &Catalog,
     metrics: &Metrics,
 ) -> Result<RefRel, ExecError> {
-    let assembly = conjunction_assembly(plan, ci, all_vars, collection, catalog);
+    let assembly = conjunction_assembly(plan, ci, all_vars, collection, catalog)?;
     let structures = &collection.per_conjunction[ci];
     let mut current = base_refrel();
     for stage in &assembly.stages {
-        current = apply_stage(current, stage, collection, structures, catalog, metrics)?;
+        current = apply_stage(current, stage, structures, catalog, metrics)?;
     }
     Ok(current)
 }

@@ -28,15 +28,17 @@
 //! calls can change what the cursor observes.
 
 use pascalr_sync::Arc;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use pascalr_catalog::{Catalog, CatalogSnapshot};
 use pascalr_planner::{plan, PlanOptions, QueryPlan, StrategyLevel};
 use pascalr_relation::{ElemRef, RelationSchema, Tuple, TupleCow};
 use pascalr_storage::{Metrics, Phase};
 
-use crate::collection::{run_collection, CollectionOutput, ExecProvider};
-use crate::combine::{apply_stage, base_refrel, conjunction_assembly, run_combination, Stage};
+use crate::collection::{counted, run_collection, CollectionOutput, ExecProvider};
+use crate::combine::{
+    apply_stage, base_refrel, conjunction_assembly, deref, run_combination, Stage,
+};
 use crate::error::ExecError;
 use crate::executor::{empty_referenced_relations, violated_extended_range, Fallback};
 use crate::refrel::RefRel;
@@ -47,8 +49,9 @@ use pascalr_calculus::{adapt_selection_for_empty, VarName};
 /// onto the component selection, eliminating duplicate output tuples.
 struct Projector {
     /// For every output component: the column in the incoming reference
-    /// rows, the base relation name, and the attribute index to project.
-    projections: Vec<(usize, Arc<str>, usize)>,
+    /// rows and the attribute index to project (the reference names its
+    /// relation).
+    projections: Vec<(usize, usize)>,
     /// Whether duplicate projections are suppressed.  `false` when the
     /// consumer deduplicates anyway (the materializing drain inserts into
     /// a set-semantics [`pascalr_relation::Relation`]), avoiding a second
@@ -93,7 +96,7 @@ impl Projector {
                         variable: comp.var.to_string(),
                         attribute: comp.attr.to_string(),
                     })?;
-            projections.push((col, Arc::from(range.relation.as_ref()), attr_idx));
+            projections.push((col, attr_idx));
         }
         Ok(Projector {
             projections,
@@ -113,11 +116,10 @@ impl Projector {
         metrics: &Metrics,
     ) -> Result<Option<Tuple>, ExecError> {
         let mut values = Vec::with_capacity(self.projections.len());
-        for (col, rel_name, attr_idx) in &self.projections {
-            let rel = catalog.relation(rel_name)?;
-            let tuple = rel.deref(row[*col])?;
+        for &(col, attr_idx) in &self.projections {
+            let tuple = deref(catalog, row[col])?;
             metrics.record_dereferences(Phase::Construction, 1);
-            values.push(tuple.get(*attr_idx));
+            values.push(tuple.get(attr_idx));
         }
         let cow = TupleCow::new(values);
         if !self.distinct {
@@ -141,8 +143,9 @@ impl Projector {
 struct ConjStream {
     ci: usize,
     stages: Vec<Stage>,
-    /// Maps a row in conjunction column order to canonical `all_vars`
-    /// order: `canonical[i] = row[reorder[i]]`.
+    /// Maps a row in conjunction column order (the prefix columns, then
+    /// the final stage's) to canonical `all_vars` order:
+    /// `canonical[i] = row[reorder[i]]`.
     reorder: Vec<usize>,
     prefix: RefRel,
     row_idx: usize,
@@ -162,7 +165,7 @@ impl ConjStream {
         metrics: &Metrics,
     ) -> Result<ConjStream, ExecError> {
         let _span = pascalr_obs::span!("open_stream", conjunction = ci + 1);
-        let assembly = conjunction_assembly(query_plan, ci, all_vars, collection, catalog);
+        let assembly = conjunction_assembly(query_plan, ci, all_vars, collection, catalog)?;
         debug_assert!(
             !assembly.stages.is_empty(),
             "a selection always has at least one free variable"
@@ -170,7 +173,7 @@ impl ConjStream {
         let structures = &collection.per_conjunction[ci];
         let mut prefix = base_refrel();
         for stage in &assembly.stages[..assembly.stages.len() - 1] {
-            prefix = apply_stage(prefix, stage, collection, structures, catalog, metrics)?;
+            prefix = apply_stage(prefix, stage, structures, catalog, metrics)?;
         }
         let reorder = all_vars
             .iter()
@@ -197,41 +200,58 @@ impl ConjStream {
         })
     }
 
-    /// The next reference row of this conjunction, in conjunction column
-    /// order, or `None` when exhausted.
+    /// Writes the next reference row of this conjunction into `out`, in
+    /// canonical `all_vars` column order; `false` when exhausted.  Probes
+    /// and comparisons are counted locally and recorded once per call.
     fn next_row(
         &mut self,
         collection: &CollectionOutput,
         catalog: &Catalog,
         metrics: &Metrics,
-    ) -> Result<Option<Vec<ElemRef>>, ExecError> {
+        out: &mut Vec<ElemRef>,
+    ) -> Result<bool, ExecError> {
         let structures = &collection.per_conjunction[self.ci];
         let Some(last) = self.stages.last() else {
             // `open` asserts at least one stage; an empty stage list has
             // nothing to expand.
-            return Ok(None);
+            return Ok(false);
         };
-        loop {
-            let Some(row) = self.prefix.row(self.row_idx) else {
-                return Ok(None);
-            };
-            let cands = last.probe(row, structures, catalog, metrics, self.cand_idx == 0)?;
-            while self.cand_idx < cands.len() {
-                let cand = cands[self.cand_idx];
-                self.cand_idx += 1;
-                if last.admits(cand, row, collection, catalog, metrics)? {
-                    // The final stage's contribution to the combination
-                    // intermediates, charged as the row is produced.
-                    metrics.record_intermediate(Phase::Combination, 1);
-                    self.produced += 1;
-                    let mut out = row.to_vec();
-                    out.push(cand);
-                    return Ok(Some(out));
+        let mut probes = 0u64;
+        let found = counted(metrics, Phase::Combination, |comparisons| {
+            while let Some(row) = self.prefix.row(self.row_idx) {
+                if self.cand_idx == 0 {
+                    probes += u64::from(last.probes_index());
                 }
+                let cands = last.probe(row, structures, catalog)?;
+                while self.cand_idx < cands.len() {
+                    let cand = cands[self.cand_idx];
+                    self.cand_idx += 1;
+                    if last.admits(cand, row, catalog, comparisons)? {
+                        // The final stage's column follows the prefix.
+                        out.clear();
+                        out.extend(self.reorder.iter().map(|&i| {
+                            if i < row.len() {
+                                row[i]
+                            } else {
+                                cand
+                            }
+                        }));
+                        return Ok(true);
+                    }
+                }
+                self.row_idx += 1;
+                self.cand_idx = 0;
             }
-            self.row_idx += 1;
-            self.cand_idx = 0;
+            Ok(false)
+        });
+        metrics.record_index_probes(Phase::Combination, probes);
+        if matches!(found, Ok(true)) {
+            // The final stage's contribution to the combination
+            // intermediates, charged as the row is produced.
+            metrics.record_intermediate(Phase::Combination, 1);
+            self.produced += 1;
         }
+        found
     }
 }
 
@@ -244,7 +264,10 @@ struct StreamState {
     current: Option<ConjStream>,
     /// Union-level duplicate elimination across conjunctions; `None` for a
     /// single-conjunction matrix, whose rows are distinct by construction.
-    union_seen: Option<HashSet<Box<[ElemRef]>>>,
+    union_seen: Option<RefRel>,
+    /// The current reference row, in canonical column order (one buffer
+    /// reused for every row).
+    row: Vec<ElemRef>,
     union_len: u64,
     projector: Projector,
 }
@@ -442,13 +465,15 @@ impl ExecutionCursor {
             let all_vars = self.query_plan.prepared.all_vars();
             let mut projector = Projector::new(&self.query_plan, &all_vars, catalog)?;
             projector.distinct = self.distinct;
-            let union_seen = (self.query_plan.prepared.form.matrix.len() > 1).then(HashSet::new);
+            let union_seen = (self.query_plan.prepared.form.matrix.len() > 1)
+                .then(|| RefRel::new(all_vars.clone()));
             self.state = State::Streaming(Box::new(StreamState {
                 collection,
                 all_vars,
                 next_conj: 0,
                 current: None,
                 union_seen,
+                row: Vec::new(),
                 union_len: 0,
                 projector,
             }));
@@ -555,21 +580,19 @@ impl ExecutionCursor {
                 // conjunction if it somehow is not.
                 continue;
             };
-            let Some(row) = conj.next_row(&stream.collection, catalog, metrics)? else {
+            if !conj.next_row(&stream.collection, catalog, metrics, &mut stream.row)? {
                 metrics.record_structure_size(&format!("refrel_c{}", conj.ci + 1), conj.produced);
                 stream.current = None;
                 continue;
-            };
-            // Reorder into canonical column order and union across
-            // conjunctions.
-            let canonical: Vec<ElemRef> = conj.reorder.iter().map(|&i| row[i]).collect();
+            }
+            // Union across conjunctions.
             if let Some(seen) = &mut stream.union_seen {
-                if !seen.insert(canonical.clone().into_boxed_slice()) {
+                if !seen.push(&stream.row) {
                     continue;
                 }
             }
             stream.union_len += 1;
-            if let Some(tuple) = stream.projector.project(&canonical, catalog, metrics)? {
+            if let Some(tuple) = stream.projector.project(&stream.row, catalog, metrics)? {
                 return Ok(Some(tuple));
             }
         }

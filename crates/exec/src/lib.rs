@@ -22,6 +22,7 @@ pub mod combine;
 pub mod cursor;
 pub mod error;
 pub mod executor;
+mod predicate;
 pub mod refrel;
 
 pub use access::StorageReader;
