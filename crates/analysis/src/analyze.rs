@@ -250,6 +250,7 @@ impl Walker<'_> {
                         self.spans.var_span(var),
                     );
                 }
+                // The planner drops it, assuming its range non-empty.
                 if !body.mentions_var(var) {
                     self.emit(
                         Code::A009,
@@ -329,6 +330,7 @@ impl Walker<'_> {
                 continue;
             };
             match verdict(op, lo, hi, c) {
+                // A `false` restriction gives its quantifier the empty-range value.
                 Some(false) => {
                     self.emit(
                         Code::A005,

@@ -1,4 +1,4 @@
-//! Lemma 1 and the empty-relation adaptation of the standard form.
+//! Lemma 1 and the empty-range adaptation of the standard form.
 //!
 //! Lemma 1 (Section 2): let `A` be a wff in which the variable `rec` does not
 //! occur and `B` any wff.  In the many-sorted calculus:
@@ -10,120 +10,28 @@
 //!    `                            =  ALL rec IN rel (A AND B)`  otherwise;
 //! 4. `A OR  ALL  rec IN rel (B)  =  ALL rec IN rel (A OR B)`   — always.
 //!
-//! The PASCAL/R compiler assumes all range relations non-empty when building
-//! the standard form and adapts at runtime when the assumption fails
-//! (Example 2.2: if `papers = []`, the query collapses to the professor
-//! test).  [`adapt_formula_for_empty`] / [`adapt_selection_for_empty`]
-//! implement that adaptation by substituting quantifiers over empty ranges
-//! with their truth value (`SOME` over an empty range is `false`, `ALL` over
-//! an empty range is `true`) and re-simplifying.
+//! The PASCAL/R compiler assumes all ranges non-empty when building the
+//! standard form and adapts at runtime when the assumption fails (Example
+//! 2.2: if `papers = []`, the query collapses to the professor test).  The
+//! standard form lists the ranges it assumed, keyed on the variable
+//! ([`crate::normalize::StandardForm::assumptions`]); when one is empty —
+//! a restricted range that selects nothing as much as an empty relation —
+//! [`adapt_selection_for_empty`] rewrites the selection for that variable.
 
-use std::collections::BTreeSet;
+use crate::ast::{Formula, Quantifier, RangeExpr, Selection, Term};
+use crate::normalize::{normalized_formula, simplify, Assumption};
 
-use crate::ast::{Formula, Quantifier, RangeExpr, Selection, VarName};
-use crate::error::CalculusError;
-use crate::normalize::simplify;
-
-/// Which of the four Lemma 1 rules is being applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lemma1Rule {
-    /// Rule 1: `A AND SOME rec (B)` — unconditional.
-    AndSome,
-    /// Rule 2: `A OR SOME rec (B)` — requires `rel` non-empty.
-    OrSome,
-    /// Rule 3: `A AND ALL rec (B)` — requires `rel` non-empty.
-    AndAll,
-    /// Rule 4: `A OR ALL rec (B)` — unconditional.
-    OrAll,
-}
-
-impl Lemma1Rule {
-    /// Whether the rule is an equivalence regardless of the range being
-    /// empty.
-    pub fn is_unconditional(self) -> bool {
-        matches!(self, Lemma1Rule::AndSome | Lemma1Rule::OrAll)
-    }
-
-    /// The quantifier the rule moves.
-    pub fn quantifier(self) -> Quantifier {
-        match self {
-            Lemma1Rule::AndSome | Lemma1Rule::OrSome => Quantifier::Some,
-            Lemma1Rule::AndAll | Lemma1Rule::OrAll => Quantifier::All,
-        }
-    }
-}
-
-/// Applies a Lemma 1 rule in the "pull in" direction: given `A` (not
-/// mentioning `var`) and the quantified formula `Q var IN range (B)`,
-/// produces `Q var IN range (A <op> B)`.
-///
-/// Returns an error if `A` mentions `var` (the side condition of the lemma)
-/// or if the supplied quantifier does not match the rule.
-pub fn apply_lemma1(
-    rule: Lemma1Rule,
-    a: &Formula,
-    var: &VarName,
-    range: &RangeExpr,
-    b: &Formula,
-) -> Result<Formula, CalculusError> {
-    if a.mentions_var(var) {
-        return Err(CalculusError::NotApplicable {
-            detail: format!("Lemma 1 requires that {var} does not occur in A"),
-        });
-    }
-    let combined = match rule {
-        Lemma1Rule::AndSome | Lemma1Rule::AndAll => Formula::and(vec![a.clone(), b.clone()]),
-        Lemma1Rule::OrSome | Lemma1Rule::OrAll => Formula::or(vec![a.clone(), b.clone()]),
-    };
-    let q = rule.quantifier();
-    Ok(Formula::Quant {
-        q,
-        var: var.clone(),
-        range: range.clone(),
-        body: Box::new(combined),
-    })
-}
-
-/// The left-hand side of a Lemma 1 rule, for tests and documentation:
-/// `A <op> (Q var IN range (B))`.
-pub fn lemma1_lhs(
-    rule: Lemma1Rule,
-    a: &Formula,
-    var: &VarName,
-    range: &RangeExpr,
-    b: &Formula,
-) -> Formula {
-    let quantified = Formula::Quant {
-        q: rule.quantifier(),
-        var: var.clone(),
-        range: range.clone(),
-        body: Box::new(b.clone()),
-    };
-    match rule {
-        Lemma1Rule::AndSome | Lemma1Rule::AndAll => Formula::and(vec![a.clone(), quantified]),
-        Lemma1Rule::OrSome | Lemma1Rule::OrAll => Formula::or(vec![a.clone(), quantified]),
-    }
-}
-
-/// The value the empty-range case collapses to, for the conditional rules:
-/// rule 2 and rule 3 both collapse to `A` when `rel = []`.
-pub fn lemma1_empty_case(rule: Lemma1Rule, a: &Formula) -> Option<Formula> {
-    match rule {
-        Lemma1Rule::OrSome | Lemma1Rule::AndAll => Some(a.clone()),
-        _ => None,
-    }
-}
-
-/// Substitutes quantifiers whose range relation is in `empty` by their truth
-/// value over an empty range (`SOME` → `false`, `ALL` → `true`) and
-/// simplifies the result.
-///
-/// This is the runtime adaptation of the standard form: re-deriving the
-/// query from the *original* formula with the empty ranges resolved is
-/// always correct, which is exactly what Example 2.2 does when
-/// `papers = []`.
-pub fn adapt_formula_for_empty(formula: &Formula, empty: &BTreeSet<String>) -> Formula {
-    fn go(f: &Formula, empty: &BTreeSet<String>) -> Formula {
+/// Rewrites `formula` (named as by [`normalized_formula`]) for ranges found
+/// empty, and simplifies it.  Each entry names a binder and its empty range:
+/// * the binder's own range or bare relation: the quantifier takes its
+///   empty-range value, `SOME` → `false`, `ALL` → `true` (Example 2.2);
+/// * the range extended by Strategy 3, whose last conjunct is the term
+///   hoisted last: for `SOME` no element satisfies that term, so it becomes
+///   `false`; for `ALL` every element satisfies the complemented terms, so
+///   they become `true`.  The quantifier itself may still range over
+///   elements, so substituting it would be wrong.
+pub fn adapt_formula_for_empty(formula: &Formula, empty: &[Assumption]) -> Formula {
+    fn go(f: &Formula, empty: &[Assumption]) -> Formula {
         match f {
             Formula::Term(_) => f.clone(),
             Formula::Not(inner) => Formula::not(go(inner, empty)),
@@ -135,42 +43,104 @@ pub fn adapt_formula_for_empty(formula: &Formula, empty: &BTreeSet<String>) -> F
                 range,
                 body,
             } => {
-                if empty.contains(range.relation.as_ref()) {
-                    // The restriction cannot resurrect elements of an empty
-                    // base relation.
-                    return match q {
-                        Quantifier::Some => Formula::falsity(),
-                        Quantifier::All => Formula::truth(),
-                    };
+                let mut body = go(body, empty);
+                for assumed in empty.iter().filter(|a| a.var == *var) {
+                    let whole_range = assumed.range == *range
+                        || (assumed.range.restriction.is_none()
+                            && assumed.range.relation == range.relation);
+                    if whole_range {
+                        return match q {
+                            Quantifier::Some => Formula::falsity(),
+                            Quantifier::All => Formula::truth(),
+                        };
+                    }
+                    if let Some(hoisted) = last_extension(range, &assumed.range) {
+                        body = match q {
+                            Quantifier::Some => substitute(&body, hoisted, false),
+                            Quantifier::All => match hoisted {
+                                Formula::Or(parts) => parts
+                                    .iter()
+                                    .fold(body, |b, p| substitute(&b, &complement(p), true)),
+                                other => substitute(&body, &complement(other), true),
+                            },
+                        };
+                    }
                 }
                 Formula::Quant {
                     q: *q,
                     var: var.clone(),
                     range: range.clone(),
-                    body: Box::new(go(body, empty)),
+                    body: Box::new(body),
                 }
             }
         }
     }
-    simplify(&go(formula, empty), false)
+    simplify(&go(formula, empty))
 }
 
-/// Adapts a whole selection for empty range relations.
-///
-/// Quantifiers over empty relations are resolved as in
-/// [`adapt_formula_for_empty`]; a free variable ranging over an empty
-/// relation makes the whole result empty, which is signalled by replacing
-/// the formula with `false` (the caller still produces the correctly-typed
-/// empty result relation).
-pub fn adapt_selection_for_empty(selection: &Selection, empty: &BTreeSet<String>) -> Selection {
+/// The conjunct Strategy 3 added last to `written`, if `extended` is
+/// `written` with hoisted conjuncts appended.
+fn last_extension<'a>(written: &RangeExpr, extended: &'a RangeExpr) -> Option<&'a Formula> {
+    fn conjuncts(f: Option<&Formula>) -> &[Formula] {
+        match f {
+            None => &[],
+            Some(Formula::And(parts)) => parts,
+            Some(other) => std::slice::from_ref(other),
+        }
+    }
+    let base = conjuncts(written.restriction.as_deref());
+    let all = conjuncts(extended.restriction.as_deref());
+    (written.relation == extended.relation && all.len() > base.len() && all.starts_with(base))
+        .then(|| all.last())
+        .flatten()
+}
+
+/// The matrix term a complement hoist negated into a universal range.
+fn complement(f: &Formula) -> Formula {
+    match f {
+        Formula::Term(t) => Formula::Term(t.negate()),
+        other => Formula::not(other.clone()),
+    }
+}
+
+/// Replaces every occurrence of the atom `term` in `f` by a constant.
+fn substitute(f: &Formula, term: &Formula, value: bool) -> Formula {
+    match f {
+        _ if f == term => Formula::Term(Term::Bool(value)),
+        Formula::Term(_) => f.clone(),
+        Formula::Not(inner) => Formula::not(substitute(inner, term, value)),
+        Formula::And(parts) => {
+            Formula::and(parts.iter().map(|p| substitute(p, term, value)).collect())
+        }
+        Formula::Or(parts) => {
+            Formula::or(parts.iter().map(|p| substitute(p, term, value)).collect())
+        }
+        Formula::Quant {
+            q,
+            var,
+            range,
+            body,
+        } => Formula::Quant {
+            q: *q,
+            var: var.clone(),
+            range: range.clone(),
+            body: Box::new(substitute(body, term, value)),
+        },
+    }
+}
+
+/// Adapts a selection for ranges found empty ([`adapt_formula_for_empty`]
+/// on its [`normalized_formula`]).  An entry naming a free variable makes
+/// the formula `false`: the result is empty but correctly typed.
+pub fn adapt_selection_for_empty(selection: &Selection, empty: &[Assumption]) -> Selection {
     let free_over_empty = selection
         .free
         .iter()
-        .any(|d| empty.contains(d.range.relation.as_ref()));
+        .any(|d| empty.iter().any(|a| a.var == d.var));
     let formula = if free_over_empty {
         Formula::falsity()
     } else {
-        adapt_formula_for_empty(&selection.formula, empty)
+        adapt_formula_for_empty(&normalized_formula(selection), empty)
     };
     Selection::new(
         selection.target.clone(),
@@ -183,13 +153,109 @@ pub fn adapt_selection_for_empty(selection: &Selection, empty: &BTreeSet<String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{ComponentRef, Operand, RangeDecl};
-    use crate::normalize::standardize;
+    use crate::ast::{ComponentRef, Operand, RangeDecl, VarName};
+    use crate::error::CalculusError;
+    use crate::normalize::{standardize, StandardizedSelection};
     use crate::semantics::{eval_formula, eval_selection, Binding, Env};
+    use crate::transform::{extend_ranges, ExtendOptions};
     use pascalr_relation::{
         Attribute, CompareOp, Relation, RelationSchema, Tuple, Value, ValueType,
     };
     use std::collections::BTreeMap;
+
+    // Lemma 1's four rules, stated executably.  The engine does not apply
+    // them one by one: `prenex` pulls quantifiers and records the ranges
+    // rules 2 and 3 assume non-empty; these check the rules themselves.
+
+    /// Which of the four Lemma 1 rules is being applied.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Lemma1Rule {
+        /// Rule 1: `A AND SOME rec (B)` — unconditional.
+        AndSome,
+        /// Rule 2: `A OR SOME rec (B)` — requires `rel` non-empty.
+        OrSome,
+        /// Rule 3: `A AND ALL rec (B)` — requires `rel` non-empty.
+        AndAll,
+        /// Rule 4: `A OR ALL rec (B)` — unconditional.
+        OrAll,
+    }
+
+    impl Lemma1Rule {
+        /// Whether the rule is an equivalence regardless of the range being
+        /// empty.
+        fn is_unconditional(self) -> bool {
+            matches!(self, Lemma1Rule::AndSome | Lemma1Rule::OrAll)
+        }
+
+        /// The quantifier the rule moves.
+        fn quantifier(self) -> Quantifier {
+            match self {
+                Lemma1Rule::AndSome | Lemma1Rule::OrSome => Quantifier::Some,
+                Lemma1Rule::AndAll | Lemma1Rule::OrAll => Quantifier::All,
+            }
+        }
+    }
+
+    /// Applies a Lemma 1 rule in the "pull in" direction: given `A` (not
+    /// mentioning `var`) and the quantified formula `Q var IN range (B)`,
+    /// produces `Q var IN range (A <op> B)`.
+    ///
+    /// Returns an error if `A` mentions `var` (the side condition of the lemma)
+    /// or if the supplied quantifier does not match the rule.
+    fn apply_lemma1(
+        rule: Lemma1Rule,
+        a: &Formula,
+        var: &VarName,
+        range: &RangeExpr,
+        b: &Formula,
+    ) -> Result<Formula, CalculusError> {
+        if a.mentions_var(var) {
+            return Err(CalculusError::NotApplicable {
+                detail: format!("Lemma 1 requires that {var} does not occur in A"),
+            });
+        }
+        let combined = match rule {
+            Lemma1Rule::AndSome | Lemma1Rule::AndAll => Formula::and(vec![a.clone(), b.clone()]),
+            Lemma1Rule::OrSome | Lemma1Rule::OrAll => Formula::or(vec![a.clone(), b.clone()]),
+        };
+        let q = rule.quantifier();
+        Ok(Formula::Quant {
+            q,
+            var: var.clone(),
+            range: range.clone(),
+            body: Box::new(combined),
+        })
+    }
+
+    /// The left-hand side of a Lemma 1 rule, for tests and documentation:
+    /// `A <op> (Q var IN range (B))`.
+    fn lemma1_lhs(
+        rule: Lemma1Rule,
+        a: &Formula,
+        var: &VarName,
+        range: &RangeExpr,
+        b: &Formula,
+    ) -> Formula {
+        let quantified = Formula::Quant {
+            q: rule.quantifier(),
+            var: var.clone(),
+            range: range.clone(),
+            body: Box::new(b.clone()),
+        };
+        match rule {
+            Lemma1Rule::AndSome | Lemma1Rule::AndAll => Formula::and(vec![a.clone(), quantified]),
+            Lemma1Rule::OrSome | Lemma1Rule::OrAll => Formula::or(vec![a.clone(), quantified]),
+        }
+    }
+
+    /// The value the empty-range case collapses to, for the conditional rules:
+    /// rule 2 and rule 3 both collapse to `A` when `rel = []`.
+    fn lemma1_empty_case(rule: Lemma1Rule, a: &Formula) -> Option<Formula> {
+        match rule {
+            Lemma1Rule::OrSome | Lemma1Rule::AndAll => Some(a.clone()),
+            _ => None,
+        }
+    }
 
     fn rel(name: &str, attrs: &[&str], rows: &[&[i64]]) -> Relation {
         let schema = RelationSchema::all_key(
@@ -395,7 +461,7 @@ mod tests {
     fn adaptation_for_empty_papers_matches_example_2_2() {
         // "If papers = [], this must be changed to
         //    enames := [<e.ename> OF EACH e IN employees: e.estatus = professor]"
-        let empty: BTreeSet<String> = ["papers".to_string()].into_iter().collect();
+        let empty = [Assumption::new("p", p_range())];
         let adapted = adapt_formula_for_empty(&example_formula(), &empty);
         // ALL p over the empty papers is true, so the OR collapses and only
         // the professor test remains.
@@ -424,7 +490,7 @@ mod tests {
 
         // Adapting the original selection and then standardizing again gives
         // the right answer.
-        let empty: BTreeSet<String> = ["papers".to_string()].into_iter().collect();
+        let empty = [Assumption::new("p", p_range())];
         let adapted = adapt_selection_for_empty(&sel, &empty);
         let adapted_std = standardize(&adapted);
         let fixed = eval_selection(&adapted_std.to_selection(), &db).unwrap();
@@ -433,7 +499,7 @@ mod tests {
 
     #[test]
     fn adaptation_for_empty_courses_keeps_the_universal_branch() {
-        let empty: BTreeSet<String> = ["courses".to_string()].into_iter().collect();
+        let empty = [Assumption::new("c", RangeExpr::relation("courses"))];
         let adapted = adapt_formula_for_empty(&example_formula(), &empty);
         // SOME c over empty courses is false; the ALL p branch must remain.
         let text = adapted.to_string();
@@ -452,15 +518,14 @@ mod tests {
 
     #[test]
     fn adaptation_with_no_empty_relations_is_identity_up_to_simplification() {
-        let empty = BTreeSet::new();
-        let adapted = adapt_formula_for_empty(&example_formula(), &empty);
+        let adapted = adapt_formula_for_empty(&example_formula(), &[]);
         let db = db_with_papers(&[&[1, 1977], &[3, 1975]]);
         assert!(equivalent_over_e(&db, &example_formula(), &adapted));
     }
 
     #[test]
     fn adaptation_for_empty_free_range_gives_false_formula() {
-        let empty: BTreeSet<String> = ["employees".to_string()].into_iter().collect();
+        let empty = [Assumption::new("e", RangeExpr::relation("employees"))];
         let adapted = adapt_selection_for_empty(&example_selection(), &empty);
         assert!(adapted.formula.is_falsity());
         // Evaluating it still yields a well-typed empty result.
@@ -478,7 +543,7 @@ mod tests {
         // SOME c IN courses (... SOME t IN timetable (...)) with timetable
         // empty: the inner SOME becomes false, which makes the c-branch
         // false; the ALL p branch survives.
-        let empty: BTreeSet<String> = ["timetable".to_string()].into_iter().collect();
+        let empty = [Assumption::new("t", RangeExpr::relation("timetable"))];
         let adapted = adapt_formula_for_empty(&example_formula(), &empty);
         let text = adapted.to_string();
         assert!(!text.contains("timetable"), "{text}");
@@ -491,5 +556,176 @@ mod tests {
             rel("timetable", &["tenr", "tcnr"], &[]),
         );
         assert!(equivalent_over_e(&db, &example_formula(), &adapted));
+    }
+
+    // One test per kind of assumption: the prepared form is wrong when the
+    // assumed range is empty, and re-standardizing the adapted selection is
+    // right.
+
+    fn over_e(formula: Formula) -> Selection {
+        Selection::new(
+            "q",
+            vec![ComponentRef::new("e", "enr")],
+            vec![RangeDecl::new("e", RangeExpr::relation("employees"))],
+            formula,
+        )
+    }
+
+    fn range_is_empty(assumed: &Assumption, db: &BTreeMap<String, Relation>) -> bool {
+        let some = Formula::some(
+            assumed.var.as_ref(),
+            assumed.range.clone(),
+            Formula::truth(),
+        );
+        !eval_formula(&some, db, &Env::new()).unwrap()
+    }
+
+    /// Checks that `assumed` is one of `prepared`'s assumptions, that its
+    /// range is empty in `db`, that `prepared` then disagrees with `sel`, and
+    /// that the adapted selection's standard form (with and without
+    /// Strategy 3) agrees.
+    fn check_adaptation(
+        sel: &Selection,
+        prepared: &StandardizedSelection,
+        assumed: &Assumption,
+        db: &BTreeMap<String, Relation>,
+    ) {
+        assert!(
+            prepared.form.assumptions.contains(assumed),
+            "{assumed} not in {:?}",
+            prepared.form.assumptions
+        );
+        assert!(range_is_empty(assumed, db), "{assumed} is not empty");
+        let truth = eval_selection(sel, db).unwrap();
+        let wrong = eval_selection(&prepared.to_selection(), db).unwrap();
+        assert!(
+            !truth.set_eq(&wrong),
+            "the prepared form relies on {assumed}"
+        );
+        let adapted = adapt_selection_for_empty(sel, std::slice::from_ref(assumed));
+        let standard = standardize(&adapted);
+        let fixed = eval_selection(&standard.to_selection(), db).unwrap();
+        assert!(truth.set_eq(&fixed), "adapted: {}", adapted.formula);
+        let (extended, _) = extend_ranges(&standard, ExtendOptions::default());
+        let fixed = eval_selection(&extended.to_selection(), db).unwrap();
+        assert!(truth.set_eq(&fixed), "adapted, Strategy 3: {extended}");
+    }
+
+    fn no_papers_from_1900() -> RangeExpr {
+        RangeExpr::restricted("papers", cmp_vc("p", "pyear", CompareOp::Eq, 1900))
+    }
+
+    #[test]
+    fn a_some_pulled_across_or_over_an_empty_restricted_range_is_adapted() {
+        let db = db_with_papers(&[&[1, 1977], &[3, 1975]]);
+        let sel = over_e(Formula::or(vec![
+            a_formula(),
+            Formula::some("p", no_papers_from_1900(), b_formula()),
+        ]));
+        let assumed = Assumption::new("p", no_papers_from_1900());
+        check_adaptation(&sel, &standardize(&sel), &assumed, &db);
+    }
+
+    #[test]
+    fn an_all_pulled_across_and_over_an_empty_restricted_range_is_adapted() {
+        let db = db_with_papers(&[&[1, 1977], &[3, 1975]]);
+        let sel = over_e(Formula::and(vec![
+            a_formula(),
+            Formula::all("p", no_papers_from_1900(), b_formula()),
+        ]));
+        let assumed = Assumption::new("p", no_papers_from_1900());
+        check_adaptation(&sel, &standardize(&sel), &assumed, &db);
+    }
+
+    #[test]
+    fn a_dropped_vacuous_quantifier_over_an_empty_range_is_adapted() {
+        // SOME p over an empty range never mentions p: the planner drops it
+        // and records the assumption, as here.
+        let db = db_with_papers(&[&[1, 1977], &[3, 1975]]);
+        let sel = over_e(Formula::some("p", no_papers_from_1900(), a_formula()));
+        let mut prepared = standardize(&sel);
+        let entry = prepared.form.prefix.remove(0);
+        prepared.form.assume_nonempty(&entry.var, &entry.range);
+        let assumed = Assumption::new("p", no_papers_from_1900());
+        check_adaptation(&sel, &prepared, &assumed, &db);
+    }
+
+    #[test]
+    fn an_empty_distributive_hoist_makes_its_term_false_not_its_quantifier() {
+        // SOME c IN courses ((c.clevel = 2 AND c.cnr = e.enr) OR e is a
+        // professor): no course is at level 2, but courses is not empty, so
+        // the answer is the professors — substituting the quantifier would
+        // give nobody.
+        let db = db_with_papers(&[&[1, 1977]]);
+        let sel = over_e(Formula::some(
+            "c",
+            RangeExpr::relation("courses"),
+            Formula::or(vec![
+                Formula::and(vec![
+                    cmp_vc("c", "clevel", CompareOp::Eq, 2),
+                    cmp_vv("c", "cnr", CompareOp::Eq, "e", "enr"),
+                ]),
+                a_formula(),
+            ]),
+        ));
+        let (prepared, report) = extend_ranges(&standardize(&sel), ExtendOptions::default());
+        assert_eq!(
+            report.hoists[0].kind,
+            crate::transform::HoistKind::Distributive
+        );
+        let assumed = Assumption::new("c", prepared.range_of("c").unwrap().clone());
+        check_adaptation(&sel, &prepared, &assumed, &db);
+        let whole = adapt_selection_for_empty(
+            &sel,
+            &[Assumption::new("c", RangeExpr::relation("courses"))],
+        );
+        let truth = eval_selection(&sel, &db).unwrap();
+        assert!(!truth.set_eq(&eval_selection(&whole, &db).unwrap()));
+    }
+
+    #[test]
+    fn an_empty_exact_hoist_makes_its_term_false() {
+        // SOME c IN courses (c.clevel = 2) AND e is a professor: the exact
+        // hoist leaves c vacuous; the drop assumes the extended range.
+        let db = db_with_papers(&[&[1, 1977]]);
+        let sel = over_e(Formula::and(vec![
+            Formula::some(
+                "c",
+                RangeExpr::relation("courses"),
+                cmp_vc("c", "clevel", CompareOp::Eq, 2),
+            ),
+            a_formula(),
+        ]));
+        let (mut prepared, report) = extend_ranges(&standardize(&sel), ExtendOptions::default());
+        assert!(report
+            .hoists
+            .iter()
+            .any(|h| h.var.as_ref() == "c" && h.kind == crate::transform::HoistKind::Exact));
+        let entry = prepared.form.prefix.remove(0);
+        prepared.form.assume_nonempty(&entry.var, &entry.range);
+        let assumed = Assumption::new("c", entry.range.clone());
+        check_adaptation(&sel, &prepared, &assumed, &db);
+    }
+
+    #[test]
+    fn an_empty_universal_complement_makes_its_terms_true() {
+        // ALL p IN papers (p.pyear <> 1977 OR e is a professor): the
+        // complement hoist restricts p to 1977 papers and leaves p vacuous.
+        // With no 1977 paper every employee qualifies.
+        let db = db_with_papers(&[&[1, 1975], &[3, 1976]]);
+        let sel = over_e(Formula::all(
+            "p",
+            p_range(),
+            Formula::or(vec![cmp_vc("p", "pyear", CompareOp::Ne, 1977), a_formula()]),
+        ));
+        let (mut prepared, report) = extend_ranges(&standardize(&sel), ExtendOptions::default());
+        assert_eq!(
+            report.hoists[0].kind,
+            crate::transform::HoistKind::UniversalComplement
+        );
+        let entry = prepared.form.prefix.remove(0);
+        prepared.form.assume_nonempty(&entry.var, &entry.range);
+        let assumed = Assumption::new("p", entry.range.clone());
+        check_adaptation(&sel, &prepared, &assumed, &db);
     }
 }

@@ -8,8 +8,8 @@
 //!   correctness oracle;
 //! * [`normalize`] — the *standard form*: prenex normal form with a matrix in
 //!   disjunctive normal form, plus the non-emptiness assumptions it makes;
-//! * [`lemma1`] — Lemma 1 (empty-relation anomalies) and the runtime
-//!   adaptation of queries for empty range relations;
+//! * [`lemma1`] — Lemma 1 (empty-range anomalies) and the runtime
+//!   adaptation of queries for ranges assumed non-empty that are empty;
 //! * [`onesorted`] — A. Schmidt's conversion to the one-sorted calculus,
 //!   executable for equivalence checking;
 //! * [`params`] — named parameter placeholders (`:name`) and their binding,
@@ -37,12 +37,15 @@ pub use ast::{
     Selection, Term, VarName,
 };
 pub use error::CalculusError;
-pub use lemma1::{adapt_formula_for_empty, adapt_selection_for_empty, Lemma1Rule};
-pub use normalize::{standardize, Conjunction, PrefixEntry, StandardForm, StandardizedSelection};
+pub use lemma1::{adapt_formula_for_empty, adapt_selection_for_empty};
+pub use normalize::{
+    normalized_formula, standardize, Assumption, Conjunction, PrefixEntry, StandardForm,
+    StandardizedSelection,
+};
 pub use params::Params;
 pub use semantics::{eval_formula, eval_selection, Binding, Env, RelationProvider};
 pub use span::{Span, SpanMap};
 pub use transform::{
     extend_ranges, separate_existential, sink_variable, swap_adjacent_quantifiers, ExtendOptions,
-    ExtendReport, ExtendedRangeAssumption, Hoist, HoistKind,
+    ExtendReport, Hoist, HoistKind,
 };

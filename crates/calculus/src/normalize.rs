@@ -15,8 +15,9 @@
 //! 3. renaming apart — every quantifier gets a variable name distinct from
 //!    all other bound and free variables, so quantifier extraction cannot
 //!    capture variables;
-//! 4. [`prenex`] — pull quantifiers into a prefix, recording which range
-//!    relations had to be *assumed non-empty* (Lemma 1 rules 2 and 3);
+//! 4. [`prenex`] — pull quantifiers into a prefix, recording which
+//!    variables' ranges had to be *assumed non-empty* (Lemma 1 rules 2 and
+//!    3);
 //! 5. [`to_dnf`] — distribute the quantifier-free matrix into disjunctive
 //!    normal form, with local simplifications (duplicate terms, contradictory
 //!    conjunctions, absorbed constants).
@@ -28,7 +29,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::ast::{
-    ComponentRef, Formula, Quantifier, RangeDecl, RangeExpr, RelName, Selection, Term, VarName,
+    ComponentRef, Formula, Quantifier, RangeDecl, RangeExpr, Selection, Term, VarName,
 };
 
 /// One entry of the quantifier prefix, e.g. `ALL p IN papers`.
@@ -142,6 +143,36 @@ impl fmt::Display for Conjunction {
     }
 }
 
+/// A range the prepared form relies on being non-empty: the variable (its
+/// binder name after renaming apart) and its range when the assumption was
+/// made.  [`prenex`] makes one per quantifier pulled by Lemma 1 rule 2 or 3,
+/// Strategy 3 per hoist that crosses a quantifier or needs its extended
+/// range non-empty, and the planner per vacuous variable dropped or
+/// quantifier moved into the collection phase.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Assumption {
+    /// The variable whose range must be non-empty.
+    pub var: VarName,
+    /// The range as assumed.
+    pub range: RangeExpr,
+}
+
+impl Assumption {
+    /// Creates an assumption.
+    pub fn new(var: impl Into<VarName>, range: RangeExpr) -> Self {
+        Assumption {
+            var: var.into(),
+            range,
+        }
+    }
+}
+
+impl fmt::Display for Assumption {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} IN {}", self.var, self.range.display_for(&self.var))
+    }
+}
+
 /// A selection expression in standard form: quantifier prefix plus a matrix
 /// in disjunctive normal form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,14 +182,20 @@ pub struct StandardForm {
     /// The matrix as a disjunction of conjunctions.  An empty vector denotes
     /// `false`; a vector containing an empty conjunction denotes `true`.
     pub matrix: Vec<Conjunction>,
-    /// Range relations whose non-emptiness was *assumed* while producing the
-    /// standard form (Lemma 1 rules 2 and 3).  If any of these relations is
-    /// empty at runtime, the standard form must be adapted (see
-    /// [`crate::lemma1::adapt_selection_for_empty`]).
-    pub assumed_nonempty: BTreeSet<RelName>,
+    /// The ranges this form relies on being non-empty, in the order the
+    /// assumptions were made; the executor tests each at run time.
+    pub assumptions: Vec<Assumption>,
 }
 
 impl StandardForm {
+    /// Records that the form relies on `var`'s `range` being non-empty.
+    pub fn assume_nonempty(&mut self, var: &VarName, range: &RangeExpr) {
+        let assumption = Assumption::new(var.clone(), range.clone());
+        if !self.assumptions.contains(&assumption) {
+            self.assumptions.push(assumption);
+        }
+    }
+
     /// Whether the matrix is the constant `false`.
     pub fn matrix_is_false(&self) -> bool {
         self.matrix.is_empty()
@@ -298,15 +335,14 @@ impl fmt::Display for StandardizedSelection {
 
 /// Constant folding: removes `true`/`false` sub-formulas where possible.
 ///
-/// If `assume_nonempty` is set, quantifiers over constant bodies are folded
-/// too (`SOME v IN rel (true)` → `true`, `ALL v IN rel (false)` → `false`);
-/// those two folds are exactly the ones that are only valid for non-empty
-/// range relations, which is the standing assumption of the standard form.
-pub fn simplify(formula: &Formula, assume_nonempty: bool) -> Formula {
+/// Only folds that hold over every range are made: `SOME v (false)` is
+/// `false`, `ALL v (true)` is `true`, and a quantifier whose restriction is
+/// `false` takes its empty-range value.
+pub fn simplify(formula: &Formula) -> Formula {
     match formula {
         Formula::Term(_) => formula.clone(),
         Formula::Not(inner) => {
-            let s = simplify(inner, assume_nonempty);
+            let s = simplify(inner);
             match s {
                 Formula::Term(t) => Formula::Term(t.negate()),
                 other => Formula::not(other),
@@ -315,7 +351,7 @@ pub fn simplify(formula: &Formula, assume_nonempty: bool) -> Formula {
         Formula::And(parts) => {
             let mut out = Vec::new();
             for p in parts {
-                let s = simplify(p, assume_nonempty);
+                let s = simplify(p);
                 if s.is_falsity() {
                     return Formula::falsity();
                 }
@@ -328,7 +364,7 @@ pub fn simplify(formula: &Formula, assume_nonempty: bool) -> Formula {
         Formula::Or(parts) => {
             let mut out = Vec::new();
             for p in parts {
-                let s = simplify(p, assume_nonempty);
+                let s = simplify(p);
                 if s.is_truth() {
                     return Formula::truth();
                 }
@@ -344,27 +380,20 @@ pub fn simplify(formula: &Formula, assume_nonempty: bool) -> Formula {
             range,
             body,
         } => {
-            let body = simplify(body, assume_nonempty);
+            let body = simplify(body);
             let range = RangeExpr {
                 relation: range.relation.clone(),
-                restriction: range
-                    .restriction
-                    .as_ref()
-                    .map(|r| Box::new(simplify(r, assume_nonempty))),
+                restriction: range.restriction.as_ref().map(|r| Box::new(simplify(r))),
             };
-            // Unconditional folds: SOME v (false) = false, ALL v (true) = true.
+            let statically_empty = range.restriction.as_ref().is_some_and(|r| r.is_falsity());
             match (q, &body) {
-                (Quantifier::Some, b) if b.is_falsity() => return Formula::falsity(),
-                (Quantifier::All, b) if b.is_truth() => return Formula::truth(),
-                _ => {}
-            }
-            // Conditional folds, valid only for non-empty ranges.
-            if assume_nonempty {
-                match (q, &body) {
-                    (Quantifier::Some, b) if b.is_truth() => return Formula::truth(),
-                    (Quantifier::All, b) if b.is_falsity() => return Formula::falsity(),
-                    _ => {}
+                (Quantifier::Some, b) if b.is_falsity() || statically_empty => {
+                    return Formula::falsity()
                 }
+                (Quantifier::All, b) if b.is_truth() || statically_empty => {
+                    return Formula::truth()
+                }
+                _ => {}
             }
             Formula::Quant {
                 q: *q,
@@ -489,11 +518,10 @@ pub fn rename_apart(formula: &Formula, reserved: &BTreeSet<String>) -> Formula {
 /// Pulls all quantifiers of an NNF, renamed-apart formula into a prefix.
 ///
 /// Returns the prefix (outermost first), the quantifier-free matrix, and
-/// records in `assumed_nonempty` the range relations whose non-emptiness the
-/// extraction relied on (Lemma 1: pulling `SOME` across `OR` and `ALL`
-/// across `AND`).
-pub fn prenex(formula: &Formula) -> (Vec<PrefixEntry>, Formula, BTreeSet<RelName>) {
-    fn go(f: &Formula, assumed: &mut BTreeSet<RelName>) -> (Vec<PrefixEntry>, Formula) {
+/// the ranges the extraction assumed non-empty (Lemma 1: pulling `SOME`
+/// across `OR` and `ALL` across `AND`).
+pub fn prenex(formula: &Formula) -> (Vec<PrefixEntry>, Formula, Vec<Assumption>) {
+    fn go(f: &Formula, assumed: &mut Vec<Assumption>) -> (Vec<PrefixEntry>, Formula) {
         match f {
             Formula::Term(_) => (Vec::new(), f.clone()),
             Formula::Not(inner) => {
@@ -522,7 +550,8 @@ pub fn prenex(formula: &Formula) -> (Vec<PrefixEntry>, Formula, BTreeSet<RelName
                                 (true, Quantifier::All) | (false, Quantifier::Some)
                             );
                             if needs_nonempty {
-                                assumed.insert(entry.range.relation.clone());
+                                assumed
+                                    .push(Assumption::new(entry.var.clone(), entry.range.clone()));
                             }
                         }
                     }
@@ -553,7 +582,7 @@ pub fn prenex(formula: &Formula) -> (Vec<PrefixEntry>, Formula, BTreeSet<RelName
             }
         }
     }
-    let mut assumed = BTreeSet::new();
+    let mut assumed = Vec::new();
     let (prefix, matrix) = go(formula, &mut assumed);
     (prefix, matrix, assumed)
 }
@@ -624,15 +653,8 @@ pub fn to_dnf(matrix: &Formula) -> Vec<Conjunction> {
 
 /// Runs the full standardization pipeline on a selection.
 pub fn standardize(selection: &Selection) -> StandardizedSelection {
-    let reserved: BTreeSet<String> = selection.free.iter().map(|d| d.var.to_string()).collect();
-    let simplified = simplify(&selection.formula, false);
-    let nnf = to_nnf(&simplified);
-    let renamed = rename_apart(&nnf, &reserved);
-    let (prefix, matrix_formula, mut assumed) = prenex(&renamed);
-    // Free variables are handled as if existentially quantified (Section
-    // 4.3); their ranges are assumed non-empty too — trivially adapted at
-    // runtime because an empty free range makes the result empty.
-    let matrix_simplified = simplify(&matrix_formula, true);
+    let (prefix, matrix_formula, assumptions) = prenex(&normalized_formula(selection));
+    let matrix_simplified = simplify(&matrix_formula);
     let matrix = if matrix_simplified.is_falsity() {
         Vec::new()
     } else if matrix_simplified.is_truth() {
@@ -640,14 +662,6 @@ pub fn standardize(selection: &Selection) -> StandardizedSelection {
     } else {
         to_dnf(&matrix_simplified)
     };
-    for entry in &prefix {
-        // Every quantified range participates in the "assume non-empty"
-        // convention of the standard form as soon as the matrix mixes
-        // conjunctions (the cautious superset keeps adaptation sound).
-        if matrix.len() > 1 {
-            assumed.insert(entry.range.relation.clone());
-        }
-    }
     StandardizedSelection {
         target: selection.target.clone(),
         components: selection.components.clone(),
@@ -655,9 +669,16 @@ pub fn standardize(selection: &Selection) -> StandardizedSelection {
         form: StandardForm {
             prefix,
             matrix,
-            assumed_nonempty: assumed,
+            assumptions,
         },
     }
+}
+
+/// The formula [`standardize`] pulls the prefix out of (folded, in NNF,
+/// binders renamed apart): the names [`StandardForm::assumptions`] uses.
+pub fn normalized_formula(selection: &Selection) -> Formula {
+    let reserved: BTreeSet<String> = selection.free.iter().map(|d| d.var.to_string()).collect();
+    rename_apart(&to_nnf(&simplify(&selection.formula)), &reserved)
 }
 
 #[cfg(test)]
@@ -850,35 +871,36 @@ mod tests {
             Formula::truth(),
             cmp_vc("e", "estatus", CompareOp::Eq, 3),
         ]);
-        assert_eq!(
-            simplify(&f, false),
-            cmp_vc("e", "estatus", CompareOp::Eq, 3)
-        );
+        assert_eq!(simplify(&f), cmp_vc("e", "estatus", CompareOp::Eq, 3));
         let f = Formula::and(vec![
             Formula::falsity(),
             cmp_vc("e", "estatus", CompareOp::Eq, 3),
         ]);
-        assert!(simplify(&f, false).is_falsity());
+        assert!(simplify(&f).is_falsity());
         let f = Formula::or(vec![
             Formula::truth(),
             cmp_vc("e", "estatus", CompareOp::Eq, 3),
         ]);
-        assert!(simplify(&f, false).is_truth());
+        assert!(simplify(&f).is_truth());
         let f = Formula::not(Formula::truth());
-        assert!(simplify(&f, false).is_falsity());
+        assert!(simplify(&f).is_falsity());
 
         // Unconditional quantifier folds.
         let f = some("p", "papers", Formula::falsity());
-        assert!(simplify(&f, false).is_falsity());
+        assert!(simplify(&f).is_falsity());
         let f = all("p", "papers", Formula::truth());
-        assert!(simplify(&f, false).is_truth());
-        // Conditional folds only under the non-empty assumption.
+        assert!(simplify(&f).is_truth());
+        // The folds that need a non-empty range are never made.
         let f = some("p", "papers", Formula::truth());
-        assert!(!simplify(&f, false).is_truth());
-        assert!(simplify(&f, true).is_truth());
+        assert!(!simplify(&f).is_truth());
         let f = all("p", "papers", Formula::falsity());
-        assert!(!simplify(&f, false).is_falsity());
-        assert!(simplify(&f, true).is_falsity());
+        assert!(!simplify(&f).is_falsity());
+        // A statically empty range takes the quantifier's empty-range value.
+        let empty = RangeExpr::restricted("papers", Formula::falsity());
+        let f = Formula::some("p", empty.clone(), cmp_vc("p", "pyear", CompareOp::Eq, 1));
+        assert!(simplify(&f).is_falsity());
+        let f = Formula::all("p", empty, cmp_vc("p", "pyear", CompareOp::Eq, 1));
+        assert!(simplify(&f).is_truth());
     }
 
     #[test]
@@ -901,7 +923,7 @@ mod tests {
     fn prenex_of_example_2_1_matches_paper_prefix() {
         // Example 2.2: the prefix is ALL p, SOME c, SOME t and non-emptiness
         // of courses and timetable (rule 2) and papers (rule 3) is assumed.
-        let f = to_nnf(&simplify(&example_2_1_formula(), false));
+        let f = to_nnf(&simplify(&example_2_1_formula()));
         let renamed = rename_apart(&f, &["e".to_string()].into_iter().collect());
         let (prefix, matrix, assumed) = prenex(&renamed);
         let order: Vec<(Quantifier, &str)> = prefix.iter().map(|p| (p.q, p.var.as_ref())).collect();
@@ -914,9 +936,9 @@ mod tests {
             ]
         );
         assert!(matrix.all_vars().len() >= 3);
-        assert!(assumed.iter().any(|r| r.as_ref() == "papers"));
-        assert!(assumed.iter().any(|r| r.as_ref() == "courses"));
-        assert!(assumed.iter().any(|r| r.as_ref() == "timetable"));
+        // Inner connectives first: c and t cross the OR, then p the AND.
+        let vars: Vec<&str> = assumed.iter().map(|a| a.var.as_ref()).collect();
+        assert_eq!(vars, vec!["c", "t", "p"]);
     }
 
     #[test]
@@ -1042,14 +1064,14 @@ mod tests {
         let truth_form = StandardForm {
             prefix: vec![],
             matrix: vec![Conjunction::truth()],
-            assumed_nonempty: BTreeSet::new(),
+            assumptions: Vec::new(),
         };
         assert!(truth_form.matrix_is_true());
         assert!(!truth_form.matrix_is_false());
         let false_form = StandardForm {
             prefix: vec![],
             matrix: vec![],
-            assumed_nonempty: BTreeSet::new(),
+            assumptions: Vec::new(),
         };
         assert!(false_form.matrix_is_false());
         assert!(false_form.to_formula().is_falsity());
@@ -1084,16 +1106,33 @@ mod tests {
 
     #[test]
     fn standardize_records_assumptions_for_example() {
+        // ALL p is pulled across AND (rule 3); SOME c and SOME t across OR
+        // (rule 2): each with its range as written.
         let std_sel = standardize(&example_2_1_selection());
-        for r in ["papers", "courses", "timetable"] {
+        for (var, r) in [("p", "papers"), ("c", "courses"), ("t", "timetable")] {
             assert!(
                 std_sel
                     .form
-                    .assumed_nonempty
+                    .assumptions
                     .iter()
-                    .any(|x| x.as_ref() == r),
-                "missing assumption for {r}"
+                    .any(|a| a.var.as_ref() == var && a.range == RangeExpr::relation(r)),
+                "missing assumption for {var} IN {r}"
             );
         }
+        // A pull across a connective that needs no assumption records none.
+        let sel = Selection::new(
+            "q",
+            vec![ComponentRef::new("e", "enr")],
+            vec![RangeDecl::new("e", RangeExpr::relation("employees"))],
+            Formula::and(vec![
+                cmp_vc("e", "estatus", CompareOp::Eq, 3),
+                some(
+                    "p",
+                    "papers",
+                    cmp_vv("p", "penr", CompareOp::Eq, "e", "enr"),
+                ),
+            ]),
+        );
+        assert!(standardize(&sel).form.assumptions.is_empty());
     }
 }

@@ -15,7 +15,7 @@ use pascalr_relation::Value;
 
 use crate::ast::{Formula, Operand, ParamName, RangeDecl, RangeExpr, Selection, Term};
 use crate::error::CalculusError;
-use crate::normalize::{Conjunction, PrefixEntry, StandardForm, StandardizedSelection};
+use crate::normalize::{Assumption, Conjunction, PrefixEntry, StandardForm, StandardizedSelection};
 
 /// A set of parameter bindings: placeholder name → constant value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -321,7 +321,12 @@ impl StandardizedSelection {
                         ))
                     })
                     .collect::<Result<_, CalculusError>>()?,
-                assumed_nonempty: self.form.assumed_nonempty.clone(),
+                assumptions: self
+                    .form
+                    .assumptions
+                    .iter()
+                    .map(|a| Ok(Assumption::new(a.var.clone(), a.range.bind_params(params)?)))
+                    .collect::<Result<_, CalculusError>>()?,
             },
         })
     }

@@ -14,11 +14,9 @@
 //!   ("Quantifiers may be swapped, if they are equal, or by application of
 //!   the various forms of Lemma 1").
 
-use std::collections::BTreeSet;
-
 #[cfg(test)]
 use crate::ast::RangeDecl;
-use crate::ast::{Formula, Quantifier, RangeExpr, Term, VarName};
+use crate::ast::{Formula, Quantifier, Term, VarName};
 use crate::error::CalculusError;
 use crate::normalize::{Conjunction, StandardForm, StandardizedSelection};
 
@@ -30,7 +28,7 @@ pub enum HoistKind {
     Exact,
     /// The term was a conjunct of every conjunction *mentioning the
     /// variable*, but other conjunctions exist — valid provided the extended
-    /// range is non-empty (recorded as an assumption).
+    /// range is non-empty (recorded in [`StandardForm::assumptions`]).
     Distributive,
     /// A conjunction consisting solely of monadic terms over a universally
     /// quantified variable was folded into the range as its negation —
@@ -51,17 +49,6 @@ pub struct Hoist {
     pub kind: HoistKind,
 }
 
-/// A non-emptiness assumption introduced by a distributive hoist: the
-/// extended range of `var` must be non-empty for the transformed query to be
-/// equivalent; otherwise the caller must fall back to the un-extended form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtendedRangeAssumption {
-    /// The variable whose extended range must be non-empty.
-    pub var: VarName,
-    /// The extended range.
-    pub range: RangeExpr,
-}
-
 /// Report of an [`extend_ranges`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExtendReport {
@@ -69,8 +56,6 @@ pub struct ExtendReport {
     pub hoists: Vec<Hoist>,
     /// Number of whole conjunctions removed from the matrix.
     pub removed_conjunctions: usize,
-    /// Non-emptiness assumptions introduced by distributive hoists.
-    pub assumptions: Vec<ExtendedRangeAssumption>,
 }
 
 impl ExtendReport {
@@ -179,13 +164,12 @@ pub fn extend_ranges(
                 } else {
                     HoistKind::Distributive
                 };
-                if kind == HoistKind::Distributive {
-                    if let Some(range) = sel.range_of(var) {
-                        report.assumptions.push(ExtendedRangeAssumption {
-                            var: var.clone(),
-                            range: range.clone(),
-                        });
-                    }
+                if kind == HoistKind::Exact {
+                    // The term leaves the matrix past the universal
+                    // quantifiers inside `var` (rule 3).
+                    assume_inner(&mut sel, var, Quantifier::All);
+                } else if let Some(range) = sel.range_of(var).cloned() {
+                    sel.form.assume_nonempty(var, &range);
                 }
                 report.hoists.push(Hoist {
                     var: var.clone(),
@@ -234,6 +218,9 @@ pub fn extend_ranges(
                 // element, so no special case is needed here.
                 let restriction = Formula::or(negated);
                 extend_var_range(&mut sel, var, restriction);
+                // A disjunct of the whole matrix leaves it past the
+                // existential quantifiers inside `var` (rule 2).
+                assume_inner(&mut sel, var, Quantifier::Some);
                 report.hoists.push(Hoist {
                     var: var.clone(),
                     terms: conj.terms.clone(),
@@ -252,6 +239,18 @@ pub fn extend_ranges(
     }
 
     (sel, report)
+}
+
+/// Assumes non-empty the ranges of the `q` quantifiers inside `var` (all of
+/// them for a free variable), which moving `var`'s term out of the matrix
+/// crosses (Lemma 1).
+fn assume_inner(sel: &mut StandardizedSelection, var: &str, q: Quantifier) {
+    let outer = sel.form.prefix.iter().position(|p| p.var.as_ref() == var);
+    let inner = &sel.form.prefix[outer.map_or(0, |i| i + 1)..];
+    let crossed: Vec<_> = inner.iter().filter(|p| p.q == q).cloned().collect();
+    for p in crossed {
+        sel.form.assume_nonempty(&p.var, &p.range);
+    }
 }
 
 /// Conjoins `restriction` onto the range of `var`, wherever it is declared
@@ -329,7 +328,7 @@ pub fn separate_existential(
             form: StandardForm {
                 prefix,
                 matrix: vec![conj.clone()],
-                assumed_nonempty: input.form.assumed_nonempty.clone(),
+                assumptions: input.form.assumptions.clone(),
             },
         });
     }
@@ -394,33 +393,33 @@ pub fn sink_variable(
     Ok((current, pos))
 }
 
-/// The set of relations referenced by the extended ranges of a selection
-/// (useful to report what Strategy 3 produced).
-pub fn extended_range_relations(sel: &StandardizedSelection) -> BTreeSet<VarName> {
-    let mut out = BTreeSet::new();
-    for d in &sel.free {
-        if d.range.is_restricted() {
-            out.insert(d.var.clone());
-        }
-    }
-    for p in &sel.form.prefix {
-        if p.range.is_restricted() {
-            out.insert(p.var.clone());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{ComponentRef, Operand, Selection};
+    use crate::ast::{ComponentRef, Operand, RangeExpr, Selection};
     use crate::normalize::standardize;
     use crate::semantics::eval_selection;
     use pascalr_relation::{
         Attribute, CompareOp, Relation, RelationSchema, Tuple, Value, ValueType,
     };
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The set of relations referenced by the extended ranges of a selection
+    /// (useful to report what Strategy 3 produced).
+    fn extended_range_relations(sel: &StandardizedSelection) -> BTreeSet<VarName> {
+        let mut out = BTreeSet::new();
+        for d in &sel.free {
+            if d.range.is_restricted() {
+                out.insert(d.var.clone());
+            }
+        }
+        for p in &sel.form.prefix {
+            if p.range.is_restricted() {
+                out.insert(p.var.clone());
+            }
+        }
+        out
+    }
 
     fn cmp_vc(var: &str, attr: &str, op: CompareOp, c: i64) -> Formula {
         Formula::compare(Operand::comp(var, attr), op, Operand::constant(c))
@@ -568,9 +567,12 @@ mod tests {
         assert_eq!(kind_of("e"), Some(HoistKind::Exact));
         assert_eq!(kind_of("c"), Some(HoistKind::Distributive));
         assert_eq!(kind_of("p"), Some(HoistKind::UniversalComplement));
-        // The distributive hoist recorded its assumption.
-        assert_eq!(report.assumptions.len(), 1);
-        assert_eq!(report.assumptions[0].var.as_ref(), "c");
+        // The distributive hoist recorded its assumption, with the extended
+        // range, after standardize's own.
+        let added = &extended.form.assumptions[std_sel.form.assumptions.len()..];
+        assert_eq!(added.len(), 1);
+        assert_eq!(added[0].var.as_ref(), "c");
+        assert_eq!(Some(&added[0].range), extended.range_of("c"));
     }
 
     #[test]
@@ -599,14 +601,54 @@ mod tests {
         );
         let sel = example_selection();
         let std_sel = standardize(&sel);
-        let (extended, report) = extend_ranges(&std_sel, ExtendOptions::default());
-        assert!(!report.assumptions.is_empty());
+        let (extended, _) = extend_ranges(&std_sel, ExtendOptions::default());
+        assert!(extended.form.assumptions.len() > std_sel.form.assumptions.len());
         let truth = eval_selection(&sel, &database).unwrap();
         let transformed = eval_selection(&extended.to_selection(), &database).unwrap();
         assert!(
             !truth.set_eq(&transformed),
             "with an empty extended range the forms should differ (that is the point of the assumption)"
         );
+    }
+
+    #[test]
+    fn hoists_record_the_quantifiers_they_cross() {
+        // ALL p IN papers ((p.pyear <> 1977 OR p.penr <> e.enr) AND
+        // e.estatus <> 1): the free variable's term is in every conjunction,
+        // so it moves into e's range past ALL p — valid only if papers is
+        // non-empty; with papers = [] every employee qualifies.
+        let sel = Selection::new(
+            "q",
+            vec![ComponentRef::new("e", "enr")],
+            vec![RangeDecl::new("e", RangeExpr::relation("employees"))],
+            all(
+                "p",
+                "papers",
+                Formula::and(vec![
+                    Formula::or(vec![
+                        cmp_vc("p", "pyear", CompareOp::Ne, 1977),
+                        cmp_vv("p", "penr", CompareOp::Ne, "e", "enr"),
+                    ]),
+                    cmp_vc("e", "estatus", CompareOp::Ne, 1),
+                ]),
+            ),
+        );
+        let std_sel = standardize(&sel);
+        assert!(std_sel.form.assumptions.is_empty());
+        let (extended, report) = extend_ranges(&std_sel, ExtendOptions::default());
+        assert_eq!(report.hoists[0].kind, HoistKind::Exact);
+        let vars: Vec<&str> = extended
+            .form
+            .assumptions
+            .iter()
+            .map(|a| a.var.as_ref())
+            .collect();
+        assert_eq!(vars, vec!["p"]);
+        let mut database = db();
+        database.insert("papers".to_string(), rel("papers", &["penr", "pyear"], &[]));
+        let truth = eval_selection(&sel, &database).unwrap();
+        let transformed = eval_selection(&extended.to_selection(), &database).unwrap();
+        assert!(!truth.set_eq(&transformed));
     }
 
     #[test]

@@ -17,14 +17,9 @@ use crate::Database;
 /// Renders a runtime fallback for reports (shared by the streaming and
 /// materializing paths so both describe it identically).
 pub(crate) fn fallback_description(fallback: &Fallback) -> String {
-    match fallback {
-        Fallback::AdaptedForEmptyRelations(rels) => {
-            format!("adapted for empty relation(s): {}", rels.join(", "))
-        }
-        Fallback::ExtendedRangeEmpty(var) => {
-            format!("extended range of {var} was empty; re-planned at S2")
-        }
-    }
+    let Fallback::AdaptedForEmptyRanges(empty) = fallback;
+    let empty: Vec<String> = empty.iter().map(ToString::to_string).collect();
+    format!("adapted for empty range(s): {}", empty.join("; "))
 }
 
 /// Post-execution metadata common to both result modes — the streaming
@@ -35,10 +30,9 @@ pub(crate) fn fallback_description(fallback: &Fallback) -> String {
 pub struct ExecutionOutcome {
     /// The strategy level the query was executed at.
     pub strategy: StrategyLevel,
-    /// Description of the runtime fallback, if one was taken (empty range
-    /// relation or empty extended range).  For a cursor that was never
-    /// polled this is `None` even if a fallback *would* have been taken —
-    /// fallbacks are detected when execution starts.
+    /// The ranges assumed non-empty that were empty, if the query was
+    /// adapted for them and re-planned at its level.  `None` for a cursor
+    /// never polled — fallbacks are detected when execution starts.
     pub fallback: Option<String>,
     /// Snapshot of the access metrics this query charged — only the work
     /// actually performed, so a cursor dropped after `k` tuples reports

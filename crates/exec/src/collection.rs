@@ -29,7 +29,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 
-use pascalr_calculus::{Quantifier, RangeExpr, RelationProvider, Term, VarName};
+use pascalr_calculus::{Assumption, Quantifier, RangeExpr, RelationProvider, Term, VarName};
 use pascalr_catalog::Catalog;
 use pascalr_planner::{DyadicLink, QueryPlan, SemijoinStep, ValueListMode};
 use pascalr_relation::{CompareOp, ElemRef, Key, Relation, RelationSchema, Tuple, Value};
@@ -122,7 +122,8 @@ pub struct DerivedCheck {
     /// bound variable's range, projected onto the linked components.
     pub values: Vec<Box<[Value]>>,
     /// If the predicate collapsed to a constant (e.g. `SOME`/`<>` with two
-    /// distinct values, or an empty value list).
+    /// distinct values, or an empty value list: exact, as the plan's
+    /// assumptions about the step's range are tested before it is used).
     pub constant: Option<bool>,
     /// Number of values actually stored (for the E9 report).
     pub stored_values: usize,
@@ -303,7 +304,7 @@ fn component_indices<'a>(
 }
 
 /// Everything the collection phase hands to the combination phase.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CollectionOutput {
     /// Binding information for every combination-phase variable.
     pub var_info: BTreeMap<String, VarInfo>,
@@ -339,13 +340,9 @@ fn resolve_var(
 /// on the elements that reach it.
 ///
 /// This is the primitive behind every candidate list the collection phase
-/// builds.  It is public because the executor's **runtime assumption
-/// checks** (and tests probing planner range extensions) need to answer
-/// "is this — possibly extended — range empty right now?" without running
-/// a whole collection phase; pass a throwaway [`Metrics`] handle when the
-/// probe should not be charged to the query.  All tuple reads go through
-/// the backend-generic [`StorageReader`] seam.
-pub fn range_candidates(
+/// builds.  All tuple reads go through the backend-generic
+/// [`StorageReader`] seam.
+pub(crate) fn range_candidates(
     info: &VarInfo,
     reader: StorageReader<'_>,
     metrics: &Metrics,
@@ -454,85 +451,95 @@ pub(crate) fn range_candidates_indexed(
     Ok(Some(out))
 }
 
-/// Accounts for the relation scans the strategy performs.
-///
-/// `index_served` names the relations whose every range lookup in this
-/// plan is answered by a permanent-index probe ([`range_candidates_indexed`])
-/// — those relations are never actually scanned, so no scan is recorded
-/// for them.  Index builds are *not* predicted here: they are recorded at
-/// the site where an ephemeral index is really built (the indirect-join
-/// construction), so that terms covered by a permanent index record
-/// probes but zero builds and `explain_analyzed()` stays truthful.
-fn record_scans(
+/// Accounts for the baseline's relation scans: every join-term evaluation
+/// reads its relation(s), and the range of a variable in no term is read
+/// once for its candidate list.
+fn record_baseline_scans(
     plan: &QueryPlan,
     reader: StorageReader<'_>,
     metrics: &Metrics,
-    index_served: &BTreeSet<String>,
 ) -> Result<(), ExecError> {
-    // Page counts come from the catalog's page model on every backend
-    // (see `StorageReader::record_scan`).
     let scan = |relation: &str| -> Result<(), ExecError> {
         reader.record_scan(metrics, Phase::Collection, relation)
     };
-
-    if plan.strategy.parallel_scans() {
-        // One scan per relation in the plan's scan order, minus the
-        // relations permanent indexes serve outright.
-        for r in &plan.scan_order {
-            if !index_served.contains(r.as_ref()) {
-                scan(r)?;
-            }
-        }
-    } else {
-        // Baseline: every join-term evaluation reads its relation(s).
-        let relation_of_var = |var: &str| -> Option<Arc<str>> {
-            plan.prepared
-                .range_of(var)
-                .map(|r| Arc::from(r.relation.as_ref()))
-        };
-        for conj in &plan.prepared.form.matrix {
-            for term in &conj.terms {
-                let vars: Vec<_> = term.vars().into_iter().collect();
-                for v in &vars {
-                    if let Some(rel) = relation_of_var(v) {
-                        scan(&rel)?;
-                    }
+    let relation_of_var = |var: &str| -> Option<Arc<str>> {
+        plan.prepared
+            .range_of(var)
+            .map(|r| Arc::from(r.relation.as_ref()))
+    };
+    for conj in &plan.prepared.form.matrix {
+        for term in &conj.terms {
+            for v in &term.vars() {
+                if let Some(rel) = relation_of_var(v) {
+                    scan(&rel)?;
                 }
             }
-            // Free/quantified variables whose range is read to produce
-            // candidate references even without join terms.
         }
-        // Ranges of variables that appear in no term still have to be read
-        // once to produce their candidate lists.
-        for var in plan.prepared.all_vars() {
-            let mentioned = plan.prepared.form.matrix.iter().any(|c| c.mentions(&var));
-            if !mentioned {
-                if let Some(r) = plan.prepared.range_of(&var) {
-                    scan(&r.relation)?;
-                }
+    }
+    for var in plan.prepared.all_vars() {
+        let mentioned = plan.prepared.form.matrix.iter().any(|c| c.mentions(&var));
+        if !mentioned {
+            if let Some(r) = plan.prepared.range_of(&var) {
+                scan(&r.relation)?;
             }
         }
     }
     Ok(())
 }
 
-/// Builds the value list of one Strategy 4 step and reduces it.  `info`
-/// resolves the step's bound variable, `target_schema` is the schema of the
-/// relation its target variable ranges over.
+/// Tests the plan's assumed ranges in order and fails with
+/// [`ExecError::AssumedRangeEmpty`] at the first empty one.  `lists` —
+/// variable, range, emptiness of the candidate lists built — answers the
+/// variables it covers: a list's range is the assumed one or narrower, so a
+/// non-empty list holds, and an empty one fails if the ranges are equal.
+/// Any other assumed range is read, charged to the query.
+fn check_assumptions(
+    plan: &QueryPlan,
+    lists: &[(&str, &RangeExpr, bool)],
+    reader: StorageReader<'_>,
+    metrics: &Metrics,
+) -> Result<(), ExecError> {
+    for assumed in &plan.prepared.form.assumptions {
+        let empty = match lists.iter().find(|(var, ..)| *var == assumed.var.as_ref()) {
+            Some((_, _, false)) => false,
+            Some((_, range, true)) if **range == assumed.range => true,
+            _ => range_is_empty(assumed, reader, metrics)?,
+        };
+        if empty {
+            return Err(ExecError::AssumedRangeEmpty(assumed.clone()));
+        }
+    }
+    Ok(())
+}
+
+/// Whether an assumed range has no element: the relation's emptiness for a
+/// bare relation, otherwise one charged scan of the relation.
+fn range_is_empty(
+    assumed: &Assumption,
+    reader: StorageReader<'_>,
+    metrics: &Metrics,
+) -> Result<bool, ExecError> {
+    let info = resolve_var(&assumed.var, &assumed.range, reader)?;
+    if assumed.range.restriction.is_none() {
+        return Ok(reader.relation(&info.relation)?.is_empty());
+    }
+    reader.record_scan(metrics, Phase::Collection, &info.relation)?;
+    Ok(range_candidates(&info, reader, metrics)?.is_empty())
+}
+
+/// Builds the value list of one Strategy 4 step from its range's
+/// candidates and reduces it.  `info` resolves the step's bound variable,
+/// `target_schema` is the schema of the relation its target variable ranges
+/// over.
 fn build_derived_check(
     step: &SemijoinStep,
     info: &VarInfo,
+    candidates: Vec<ElemRef>,
     target_schema: &RelationSchema,
     earlier: &[DerivedCheck],
     reader: StorageReader<'_>,
     metrics: &Metrics,
 ) -> Result<DerivedCheck, ExecError> {
-    // Steps exist only at Strategy 4: a covering permanent index serves
-    // the (extended) range by probe instead of a scan.
-    let candidates = match range_candidates_indexed(info, reader, metrics)? {
-        Some(c) => c,
-        None => range_candidates(info, reader, metrics)?,
-    };
     let rel = reader.relation(&info.relation)?;
 
     // Project the retained elements onto the linked bound components.
@@ -648,6 +655,22 @@ pub fn run_collection(
     // Every tuple read below goes through the backend-generic seam.
     let reader = StorageReader::new(catalog);
     let provider = ExecProvider(catalog);
+    // An assumed range over an empty relation is decided before any read.
+    for assumed in &plan.prepared.form.assumptions {
+        let relation = &assumed.range.relation;
+        if reader.relation(relation)?.is_empty() {
+            let bare = RangeExpr::relation(relation.clone());
+            return Err(ExecError::AssumedRangeEmpty(Assumption::new(
+                assumed.var.clone(),
+                bare,
+            )));
+        }
+    }
+    // A false matrix qualifies nothing: only the assumptions are tested.
+    if plan.prepared.form.matrix_is_false() {
+        check_assumptions(plan, &[], reader, metrics)?;
+        return Ok(CollectionOutput::default());
+    }
     // Resolve combination-phase variables first: which ranges a permanent
     // index can serve decides the scan accounting below.
     let all_vars: Vec<VarName> = plan.prepared.all_vars();
@@ -686,23 +709,59 @@ pub fn run_collection(
             .into_iter()
             .filter_map(|(rel, all)| all.then_some(rel))
             .collect();
+    } else {
+        record_baseline_scans(plan, reader, metrics)?;
     }
-    record_scans(plan, reader, metrics, &index_served)?;
 
-    // Candidates per combination-phase variable.
+    // Candidate lists, per combination-phase variable and then per step.
+    // Those of assumed variables come first and the assumptions are tested
+    // on them, so a failing plan reads no relation the test did not need.
+    // From Strategy 1 on, a relation's one scan is charged with its first
+    // list, unless indexes serve every range over it.
+    let infos: Vec<&VarInfo> = all_vars
+        .iter()
+        .map(|v| &var_info[v.as_ref()])
+        .chain(&step_infos)
+        .collect();
+    let assumed: BTreeSet<&str> = (plan.prepared.form.assumptions.iter())
+        .map(|a| a.var.as_ref())
+        .collect();
+    let mut lists: Vec<Option<Vec<ElemRef>>> = vec![None; infos.len()];
+    let mut charged: BTreeSet<&str> = BTreeSet::new();
+    for first in [true, false] {
+        for (info, list) in infos.iter().zip(&mut lists) {
+            if assumed.contains(info.var.as_ref()) != first {
+                continue;
+            }
+            let _span = pascalr_obs::span!("collect_candidates", var = info.var.as_ref());
+            let relation = info.relation.as_ref();
+            if use_index_ranges && !index_served.contains(relation) && charged.insert(relation) {
+                reader.record_scan(metrics, Phase::Collection, relation)?;
+            }
+            let indexed = if use_index_ranges {
+                range_candidates_indexed(info, reader, metrics)?
+            } else {
+                None
+            };
+            *list = Some(match indexed {
+                Some(c) => c,
+                None => range_candidates(info, reader, metrics)?,
+            });
+        }
+        if first {
+            let built: Vec<(&str, &RangeExpr, bool)> = infos
+                .iter()
+                .zip(&lists)
+                .filter_map(|(info, l)| {
+                    Some((info.var.as_ref(), &info.range, l.as_ref()?.is_empty()))
+                })
+                .collect();
+            check_assumptions(plan, &built, reader, metrics)?;
+        }
+    }
+    let mut lists = lists.into_iter().map(Option::unwrap_or_default);
     let mut candidates = BTreeMap::new();
-    for var in &all_vars {
-        let _span = pascalr_obs::span!("collect_candidates", var = var.as_ref());
-        let info = &var_info[var.as_ref()];
-        let indexed = if use_index_ranges {
-            range_candidates_indexed(info, reader, metrics)?
-        } else {
-            None
-        };
-        let cands = match indexed {
-            Some(c) => c,
-            None => range_candidates(info, reader, metrics)?,
-        };
+    for (var, cands) in all_vars.iter().zip(lists.by_ref()) {
         metrics.record_intermediate(Phase::Collection, cands.len() as u64);
         metrics.record_structure_size(&format!("cand_{var}"), cands.len() as u64);
         candidates.insert(var.to_string(), cands);
@@ -711,7 +770,7 @@ pub fn run_collection(
     // Strategy 4 value lists (must run before the per-conjunction single
     // lists so their derived predicates can restrict them).
     let mut derived: Vec<DerivedCheck> = Vec::new();
-    for (step, info) in plan.semijoin_steps.iter().zip(&step_infos) {
+    for ((step, info), cands) in plan.semijoin_steps.iter().zip(&step_infos).zip(lists) {
         let _span = pascalr_obs::span!("collect_derived", var = step.bound_var.as_ref());
         // A step targets a combination-phase variable or the bound variable
         // of a later step that consumes it.
@@ -721,7 +780,8 @@ pub fn run_collection(
             .ok_or_else(|| ExecError::PlanInvariant {
                 detail: format!("target variable {} has no range", step.target_var),
             })?;
-        let check = build_derived_check(step, info, &target.schema, &derived, reader, metrics)?;
+        let check =
+            build_derived_check(step, info, cands, &target.schema, &derived, reader, metrics)?;
         derived.push(check);
     }
 

@@ -8,7 +8,7 @@
 //! universal quantification."
 
 use pascalr_sync::Arc;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use pascalr_calculus::{Conjunction, Quantifier, VarName};
 use pascalr_catalog::Catalog;
@@ -440,7 +440,7 @@ pub fn run_combination(
                     // quantifier to `true`, so every combination of the
                     // remaining variables' candidates qualifies.  Division
                     // would wrongly return only combinations present in
-                    // `total`.
+                    // `total`.  Exact: assumed ranges were tested before.
                     let mut vacuous = base_refrel();
                     for v in &remaining {
                         vacuous =
@@ -460,16 +460,6 @@ pub fn run_combination(
     // What remains are the free variables.
     debug_assert_eq!(total.vars().len(), free_vars.len());
     Ok(total)
-}
-
-/// Maps each free variable to its distinct qualified references (useful for
-/// reporting and tests).
-pub fn qualified_refs_per_free_var(result: &RefRel) -> HashMap<String, Vec<ElemRef>> {
-    result
-        .vars()
-        .iter()
-        .map(|v| (v.to_string(), result.column_refs(v)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use pascalr_sync::Arc;
 use std::collections::HashMap;
 
 use pascalr_catalog::{Catalog, CatalogSnapshot};
-use pascalr_planner::{plan, PlanOptions, QueryPlan, StrategyLevel};
+use pascalr_planner::{replan_for_empty, QueryPlan};
 use pascalr_relation::{ElemRef, RelationSchema, Tuple, TupleCow};
 use pascalr_storage::{Metrics, Phase};
 
@@ -40,10 +40,10 @@ use crate::combine::{
     apply_stage, base_refrel, conjunction_assembly, deref, run_combination, Stage,
 };
 use crate::error::ExecError;
-use crate::executor::{empty_referenced_relations, violated_extended_range, Fallback};
+use crate::executor::Fallback;
 use crate::refrel::RefRel;
 
-use pascalr_calculus::{adapt_selection_for_empty, VarName};
+use pascalr_calculus::VarName;
 
 /// Streaming construction: dereferences a reference row and projects it
 /// onto the component selection, eliminating duplicate output tuples.
@@ -116,11 +116,15 @@ impl Projector {
         metrics: &Metrics,
     ) -> Result<Option<Tuple>, ExecError> {
         let mut values = Vec::with_capacity(self.projections.len());
-        for &(col, attr_idx) in &self.projections {
+        let mut derefs = 0u64;
+        let projected = self.projections.iter().try_for_each(|&(col, attr_idx)| {
             let tuple = deref(catalog, row[col])?;
-            metrics.record_dereferences(Phase::Construction, 1);
+            derefs += 1;
             values.push(tuple.get(attr_idx));
-        }
+            Ok::<_, ExecError>(())
+        });
+        metrics.record_dereferences(Phase::Construction, derefs);
+        projected?;
         let cow = TupleCow::new(values);
         if !self.distinct {
             self.emitted += 1;
@@ -295,11 +299,10 @@ enum State {
 /// Create it with [`ExecutionCursor::new`], then call
 /// [`ExecutionCursor::next_tuple`] until it returns `None`.  See the
 /// module documentation for the phase-by-phase laziness contract.  The
-/// cursor applies the Section 2 runtime adaptations on first use exactly
-/// like the materializing executor: when a range relation is empty or an
-/// extended range assumption fails, the query is re-planned and the
-/// adapted plan streamed instead, with [`ExecutionCursor::fallback`]
-/// reporting what happened.
+/// cursor applies the Section 2 runtime adaptation on first use: when a
+/// range the plan assumed non-empty is empty, the query is adapted for that
+/// variable and re-planned at the same level, and the adapted plan streamed
+/// instead, with [`ExecutionCursor::fallback`] reporting what happened.
 pub struct ExecutionCursor {
     query_plan: Arc<QueryPlan>,
     snapshot: CatalogSnapshot,
@@ -387,8 +390,8 @@ impl ExecutionCursor {
         self.produced
     }
 
-    /// Runs the runtime assumption checks and the eager phases (collection,
-    /// and combination when the plan cannot stream it).  Idempotent on a
+    /// Runs the eager phases (collection with its assumption checks, and
+    /// combination when the plan cannot stream it).  Idempotent on a
     /// live or successfully finished cursor; called implicitly by the
     /// first [`ExecutionCursor::next_tuple`].  Fails if the cursor already
     /// terminated with an error before its result schema was computed.
@@ -413,48 +416,26 @@ impl ExecutionCursor {
         // Move to Done first so an error leaves the cursor terminated.
         self.state = State::Done;
 
-        // Runtime check 1: empty base range relations (Lemma 1 adaptation).
-        // The adapted selection no longer quantifies over the empty
-        // relations, so no further adaptation can trigger.
-        let empties = empty_referenced_relations(&self.query_plan.original, catalog);
-        if !empties.is_empty() {
-            let empty_set = empties.iter().cloned().collect();
-            let adapted = adapt_selection_for_empty(&self.query_plan.original, &empty_set);
-            self.query_plan = Arc::new(plan(
-                &adapted,
-                catalog,
-                self.query_plan.strategy,
-                PlanOptions::default(),
-            ));
-            self.fallback = Some(Fallback::AdaptedForEmptyRelations(empties));
-        } else if self.query_plan.strategy.extended_ranges() {
-            // Runtime check 2: empty extended ranges invalidate the
-            // Strategy 3/4 shortcuts; fall back to a Strategy 2 plan.
-            if let Some(var) = violated_extended_range(&self.query_plan, catalog)? {
-                self.query_plan = Arc::new(plan(
-                    &self.query_plan.original,
-                    catalog,
-                    StrategyLevel::S2OneStep,
-                    PlanOptions::default(),
-                ));
-                self.fallback = Some(Fallback::ExtendedRangeEmpty(var));
-            }
-        }
+        // Collection tests the plan's assumed ranges; the query is adapted
+        // for the first empty one and re-planned, until none is empty.
+        let collection = loop {
+            let empty = match run_collection(&self.query_plan, catalog, &self.metrics) {
+                Ok(collection) => break collection,
+                Err(ExecError::AssumedRangeEmpty(empty)) => empty,
+                Err(e) => return Err(e),
+            };
+            let Some(replanned) = replan_for_empty(&self.query_plan, &empty, catalog) else {
+                return Err(ExecError::PlanInvariant {
+                    detail: format!("adapting for the empty range {empty} changed nothing"),
+                });
+            };
+            self.query_plan = Arc::new(replanned);
+            let Fallback::AdaptedForEmptyRanges(adapted) = self
+                .fallback
+                .get_or_insert(Fallback::AdaptedForEmptyRanges(Vec::new()));
+            adapted.push(empty);
+        };
 
-        // Semantic short-circuit: a provably false matrix (the analyzer's
-        // domain rewrites collapse contradictory selections to `false`)
-        // yields the empty result without scanning a single tuple — only
-        // the result schema is computed.  The state is already `Done`.
-        if self.query_plan.prepared.form.matrix_is_false() {
-            let prepared_selection = self.query_plan.prepared.to_selection();
-            self.schema = Some(pascalr_calculus::semantics::result_schema(
-                &prepared_selection,
-                &ExecProvider(catalog),
-            )?);
-            return Ok(());
-        }
-
-        let collection = run_collection(&self.query_plan, catalog, &self.metrics)?;
         let prepared_selection = self.query_plan.prepared.to_selection();
         self.schema = Some(pascalr_calculus::semantics::result_schema(
             &prepared_selection,
@@ -602,7 +583,7 @@ impl ExecutionCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pascalr_planner::StrategyLevel;
+    use pascalr_planner::{plan, PlanOptions, StrategyLevel};
     use pascalr_workload::{figure1_sample_database, query_by_id};
 
     fn cursor_for(query: &str, level: StrategyLevel) -> ExecutionCursor {

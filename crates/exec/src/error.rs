@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use pascalr_calculus::CalculusError;
+use pascalr_calculus::{Assumption, CalculusError};
 use pascalr_catalog::CatalogError;
 use pascalr_relation::RelationError;
 
@@ -27,6 +27,9 @@ pub enum ExecError {
         /// Description.
         detail: String,
     },
+    /// A range the plan assumed non-empty is empty.  Raised by collection;
+    /// the [`crate::ExecutionCursor`] adapts the query and re-plans.
+    AssumedRangeEmpty(Assumption),
     /// Error from the calculus layer (oracle, adaptation, result schema).
     Calculus(CalculusError),
     /// Error from the catalog layer.
@@ -52,6 +55,9 @@ impl fmt::Display for ExecError {
                 "variable {variable} has no component {attribute} in its range relation"
             ),
             ExecError::PlanInvariant { detail } => write!(f, "plan invariant violated: {detail}"),
+            ExecError::AssumedRangeEmpty(assumed) => {
+                write!(f, "range assumed non-empty is empty: {assumed}")
+            }
             ExecError::Calculus(e) => write!(f, "{e}"),
             ExecError::Catalog(e) => write!(f, "{e}"),
             ExecError::Relation(e) => write!(f, "{e}"),

@@ -1,11 +1,10 @@
-//! Plan execution: runtime assumption checks and the materializing
-//! entry points over the streaming [`ExecutionCursor`].
+//! Plan execution: the materializing entry points over the streaming
+//! [`ExecutionCursor`].
 
 use pascalr_sync::Arc;
-use std::collections::BTreeSet;
 
-use pascalr_calculus::Selection;
-use pascalr_catalog::{Catalog, CatalogSnapshot};
+use pascalr_calculus::{Assumption, Selection};
+use pascalr_catalog::CatalogSnapshot;
 use pascalr_planner::{plan, PlanOptions, QueryPlan, StrategyLevel};
 use pascalr_relation::Relation;
 use pascalr_storage::{Metrics, MetricsSnapshot};
@@ -18,8 +17,8 @@ use crate::error::ExecError;
 pub struct ExecutionResult {
     /// The result relation (named after the selection's target).
     pub relation: Relation,
-    /// If a runtime assumption of the plan failed (empty range relation or
-    /// empty extended range), the fallback that was taken.
+    /// If a range the plan assumed non-empty was empty, the fallback that
+    /// was taken.
     pub fallback: Option<Fallback>,
     /// Snapshot of the access metrics this query charged to the handle it
     /// was executed with (so callers report per-query work without
@@ -27,76 +26,18 @@ pub struct ExecutionResult {
     pub metrics: MetricsSnapshot,
 }
 
-/// Which fallback was taken when a runtime assumption failed.
+/// The runtime fallback taken when a range the plan assumed was empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fallback {
-    /// One or more base range relations were empty: the original selection
-    /// was adapted (Lemma 1) and re-planned.
-    AdaptedForEmptyRelations(Vec<String>),
-    /// An extended range produced by Strategy 3 was empty: the query was
-    /// re-planned at Strategy 2 (which does not rely on that assumption).
-    ExtendedRangeEmpty(String),
-}
-
-/// Referenced relations of a plan that are empty in the catalog.
-pub(crate) fn empty_referenced_relations(selection: &Selection, catalog: &Catalog) -> Vec<String> {
-    let mut rels: BTreeSet<String> = selection
-        .relations()
-        .iter()
-        .map(std::string::ToString::to_string)
-        .collect();
-    rels.retain(|r| {
-        catalog
-            .relation(r)
-            .is_ok_and(pascalr_relation::Relation::is_empty)
-    });
-    rels.into_iter().collect()
-}
-
-/// Checks whether any extended range the plan relies on (distributive hoists
-/// of Strategy 3, or the ranges of existential Strategy 4 steps) is empty at
-/// runtime.  Returns the offending variable, if any.
-pub(crate) fn violated_extended_range(
-    query_plan: &QueryPlan,
-    catalog: &Catalog,
-) -> Result<Option<String>, ExecError> {
-    let metrics = Metrics::new(); // throwaway: assumption checking is not charged
-    let reader = crate::access::StorageReader::new(catalog);
-    let check_range = |var: &str, range: &pascalr_calculus::RangeExpr| -> Result<bool, ExecError> {
-        let info = crate::collection::VarInfo {
-            var: pascalr_calculus::VarName::from(var),
-            relation: Arc::from(range.relation.as_ref()),
-            schema: reader.relation(&range.relation)?.schema().clone(),
-            range: range.clone(),
-        };
-        let candidates = match crate::collection::range_candidates_indexed(&info, reader, &metrics)?
-        {
-            Some(c) => c,
-            None => crate::collection::range_candidates(&info, reader, &metrics)?,
-        };
-        Ok(candidates.is_empty())
-    };
-
-    if let Some(report) = &query_plan.extend_report {
-        for assumption in &report.assumptions {
-            if check_range(&assumption.var, &assumption.range)? {
-                return Ok(Some(assumption.var.to_string()));
-            }
-        }
-    }
-    for step in &query_plan.semijoin_steps {
-        if step.quantifier == pascalr_calculus::Quantifier::Some
-            && check_range(&step.bound_var, &step.range)?
-        {
-            return Ok(Some(step.bound_var.to_string()));
-        }
-    }
-    Ok(None)
+    /// The selection was adapted for these variables' ranges, found empty
+    /// (Lemma 1, Example 2.2), one at a time in this order, and re-planned
+    /// at the plan's own level with its own options.
+    AdaptedForEmptyRanges(Vec<Assumption>),
 }
 
 /// Executes a plan to completion against a pinned catalog snapshot,
-/// recording metrics, and applying the runtime adaptations of Section 2
-/// when an assumption of the standard form fails.
+/// recording metrics, and applying the runtime adaptation of Section 2
+/// when a range the plan assumed non-empty is empty.
 ///
 /// This is a thin materializing wrapper over [`ExecutionCursor`] — the
 /// streaming cursor is the **only** execution path; `execute` merely
@@ -221,10 +162,11 @@ mod tests {
             let (_, result) =
                 plan_and_execute(&sel, &cat, level, PlanOptions::default(), &metrics).unwrap();
             assert!(expected.set_eq(&result.relation), "level {level}");
-            assert!(
-                matches!(result.fallback, Some(Fallback::AdaptedForEmptyRelations(_))),
-                "level {level} must report the adaptation"
-            );
+            let Some(Fallback::AdaptedForEmptyRanges(empty)) = &result.fallback else {
+                panic!("level {level} must report the adaptation");
+            };
+            let empty: Vec<String> = empty.iter().map(ToString::to_string).collect();
+            assert_eq!(empty, vec!["p IN papers"], "level {level}");
         }
     }
 
@@ -259,10 +201,12 @@ mod tests {
             let (_, result) =
                 plan_and_execute(&sel, &cat, level, PlanOptions::default(), &metrics).unwrap();
             assert!(expected.set_eq(&result.relation), "level {level}");
-            assert!(matches!(
-                result.fallback,
-                Some(Fallback::ExtendedRangeEmpty(_))
-            ));
+            let Some(Fallback::AdaptedForEmptyRanges(empty)) = &result.fallback else {
+                panic!("level {level} must report the adaptation");
+            };
+            assert_eq!(empty.len(), 1, "level {level}");
+            assert_eq!(empty[0].var.as_ref(), "c", "level {level}");
+            assert!(empty[0].range.is_restricted(), "level {level}");
         }
         // Levels that never relied on the assumption do not fall back.
         let metrics = Metrics::new();
@@ -276,6 +220,63 @@ mod tests {
         .unwrap();
         assert!(result.fallback.is_none());
         assert!(expected.set_eq(&result.relation));
+    }
+
+    #[test]
+    fn a_fallback_replans_at_the_plans_own_level_with_its_own_options() {
+        // An ablation's options survive the re-plan: papers = [] adapts for
+        // p, courses without a sophomore course for c's extended range.
+        let options = PlanOptions {
+            disjunctive_range_extensions: true,
+            declaration_scan_order: true,
+            semantic_rewrites: false,
+        };
+        let no_papers = {
+            let mut cat = figure1_sample_database().unwrap();
+            clear_relation(&mut cat, "papers").unwrap();
+            cat
+        };
+        let senior_course_only = {
+            let mut cat = figure1_sample_database().unwrap();
+            let level_ty = cat.types().enum_type("leveltype").unwrap().clone();
+            let courses = cat.relation_mut("courses").unwrap();
+            courses.clear();
+            courses
+                .insert(Tuple::new(vec![
+                    Value::int(60),
+                    level_ty.value("senior").unwrap(),
+                    Value::str("Advanced"),
+                ]))
+                .unwrap();
+            cat
+        };
+        for (cat, levels) in [
+            (no_papers, &StrategyLevel::ALL[..]),
+            (
+                senior_course_only,
+                &[
+                    StrategyLevel::S3ExtendedRanges,
+                    StrategyLevel::S4CollectionQuantifiers,
+                ][..],
+            ),
+        ] {
+            let cat = CatalogSnapshot::new(cat);
+            let sel = pascalr_workload::query_by_id("ex2.1")
+                .unwrap()
+                .parse(&cat)
+                .unwrap();
+            let expected = oracle_eval(&sel, &cat).unwrap();
+            for &level in levels {
+                let p = Arc::new(plan(&sel, &cat, level, options));
+                let result = execute(p.clone(), &cat, &Metrics::new()).unwrap();
+                assert!(result.fallback.is_some(), "{level}");
+                assert!(expected.set_eq(&result.relation), "{level}");
+                let mut cursor = ExecutionCursor::new(p, cat.clone(), Metrics::new());
+                cursor.start().unwrap();
+                assert_eq!(cursor.query_plan().strategy, level);
+                assert_eq!(cursor.query_plan().options, options, "{level}");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,6 @@ pub mod verify;
 
 pub use pascalr_optimizer::{ConjunctionEstimate, CostEstimate, CostWeights};
 pub use plan::{DyadicLink, PlanEstimates, QueryPlan, SemijoinStep, ValueListMode};
-pub use planner::{plan, PlanOptions};
+pub use planner::{plan, replan_for_empty, PlanOptions};
 pub use strategy::StrategyLevel;
 pub use verify::verify_plan;

@@ -3,9 +3,9 @@
 //! A [`QueryPlan`] is the output of the planner: the (possibly transformed)
 //! standardized selection, the collection-phase quantifier steps of
 //! Strategy 4, the relation scan order for the parallel collection phase of
-//! Strategy 1, and bookkeeping for the runtime assumptions that may require
-//! falling back to an adapted plan (empty range relations, empty extended
-//! ranges).
+//! Strategy 1, and what the executor needs to re-plan when a range the
+//! prepared form assumed non-empty is empty (the selection the planner
+//! standardized, and the options it was planned with).
 
 use pascalr_sync::Arc;
 use std::fmt;
@@ -16,6 +16,7 @@ use pascalr_calculus::{
 };
 use pascalr_optimizer::{ConjunctionEstimate, CostEstimate};
 
+use crate::planner::PlanOptions;
 use crate::strategy::StrategyLevel;
 
 /// Cost-model output attached to a plan: per-conjunction cardinality
@@ -151,10 +152,17 @@ pub struct QueryPlan {
     /// selection rationale lives in [`QueryPlan::estimates`] and
     /// [`QueryPlan::notes`]).
     pub strategy: StrategyLevel,
+    /// The options the plan was built with (a runtime re-plan reuses them).
+    pub options: PlanOptions,
     /// The original selection as written by the user.
     pub original: Selection,
+    /// The selection the planner standardized, if the analyzer's rewrites
+    /// made it differ from `original`: a runtime re-plan adapts this one,
+    /// whose binder names the prepared form's assumptions use.
+    pub effective: Option<Selection>,
     /// The standardized (and, at S3+, range-extended; at S4, semijoin-
-    /// reduced) selection the executor evaluates.
+    /// reduced) selection the executor evaluates, with the ranges it
+    /// assumed non-empty.
     pub prepared: StandardizedSelection,
     /// Report of the Strategy 3 transformation, if it ran.
     pub extend_report: Option<ExtendReport>,
@@ -168,8 +176,7 @@ pub struct QueryPlan {
     /// (Strategy 1+).  For the baseline this is informational only.
     pub scan_order: Vec<RelName>,
     /// Prefix variables that were dropped because they occur in no
-    /// conjunction (valid under the standard form's non-emptiness
-    /// assumption).
+    /// conjunction (each drop assumes the variable's range non-empty).
     pub dropped_vars: Vec<VarName>,
     /// Free-form notes accumulated during planning (shown by `explain`).
     pub notes: Vec<String>,
@@ -206,7 +213,9 @@ impl PartialEq for QueryPlan {
     /// estimates and diagnostic renderings but are the same plan).
     fn eq(&self, other: &Self) -> bool {
         self.strategy == other.strategy
+            && self.options == other.options
             && self.original == other.original
+            && self.effective == other.effective
             && self.prepared == other.prepared
             && self.extend_report == other.extend_report
             && self.semijoin_steps == other.semijoin_steps
@@ -274,12 +283,16 @@ impl QueryPlan {
         if let Some(report) = &self.extend_report {
             if report.changed() {
                 out.push_str(&format!(
-                    "extended ranges: {} hoist(s), {} conjunction(s) removed, {} runtime assumption(s)\n",
+                    "extended ranges: {} hoist(s), {} conjunction(s) removed\n",
                     report.hoists.len(),
                     report.removed_conjunctions,
-                    report.assumptions.len()
                 ));
             }
+        }
+        let assumptions = &self.prepared.form.assumptions;
+        if !assumptions.is_empty() {
+            let listed: Vec<String> = assumptions.iter().map(ToString::to_string).collect();
+            out.push_str(&format!("assumed non-empty: {}\n", listed.join("; ")));
         }
         if !self.semijoin_steps.is_empty() {
             out.push_str("collection-phase quantifier steps:\n");
@@ -365,12 +378,6 @@ impl QueryPlan {
         out
     }
 
-    /// The variables still evaluated in the combination phase (free
-    /// variables plus the remaining quantifier prefix).
-    pub fn combination_vars(&self) -> Vec<VarName> {
-        self.prepared.all_vars()
-    }
-
     /// The parameter placeholders the plan still carries (sorted).  A plan
     /// with placeholders must be bound with [`QueryPlan::bind_params`]
     /// before execution.
@@ -411,22 +418,18 @@ impl QueryPlan {
                         })
                         .collect::<Result<_, CalculusError>>()?,
                     removed_conjunctions: report.removed_conjunctions,
-                    assumptions: report
-                        .assumptions
-                        .iter()
-                        .map(|a| {
-                            Ok(pascalr_calculus::ExtendedRangeAssumption {
-                                var: a.var.clone(),
-                                range: a.range.bind_params(params)?,
-                            })
-                        })
-                        .collect::<Result<_, CalculusError>>()?,
                 })
             })
             .transpose()?;
         Ok(QueryPlan {
             strategy: self.strategy,
+            options: self.options,
             original: self.original.bind_params(params)?,
+            effective: self
+                .effective
+                .as_ref()
+                .map(|e| e.bind_params(params))
+                .transpose()?,
             prepared: self.prepared.bind_params(params)?,
             extend_report,
             semijoin_steps: self

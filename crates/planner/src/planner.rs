@@ -15,8 +15,8 @@
 //!    time larger relations are scanned and probed against them.
 
 use pascalr_calculus::{
-    extend_ranges, sink_variable, standardize, ExtendOptions, Quantifier, Selection,
-    StandardizedSelection,
+    adapt_selection_for_empty, extend_ranges, sink_variable, standardize, Assumption,
+    ExtendOptions, Quantifier, Selection, StandardizedSelection,
 };
 use pascalr_catalog::Catalog;
 use pascalr_optimizer::{CostWeights, SemijoinInfo, StatsView};
@@ -110,9 +110,11 @@ fn derive_semijoin_steps(
             involved.sort_unstable();
 
             if involved.is_empty() {
-                // The variable occurs nowhere: under the non-emptiness
-                // assumption its quantifier is vacuous and it can be dropped.
+                // The variable occurs nowhere: its quantifier is vacuous
+                // over a non-empty range, so it is dropped on that
+                // assumption.
                 prepared.form.prefix.remove(idx);
+                prepared.form.assume_nonempty(&var, &entry.range);
                 notes.push(format!(
                     "dropped quantified variable {var}: it occurs in no join term"
                 ));
@@ -203,6 +205,18 @@ fn derive_semijoin_steps(
                 .collect();
             derived[ci].retain(|s| !consumes.contains(s));
 
+            // Lemma 1 right to left: `SOME` leaves the other conjunctions
+            // (rule 2), `ALL` the rest of its own (rule 3).
+            let needs_nonempty = match innermost.q {
+                Quantifier::Some => prepared.form.matrix.len() > 1,
+                Quantifier::All => {
+                    !prepared.form.matrix[ci].terms.is_empty() || !derived[ci].is_empty()
+                }
+            };
+            if needs_nonempty {
+                prepared.form.assume_nonempty(&var, &innermost.range);
+            }
+
             let reduction = reduction_for(innermost.q, &links);
             let step = SemijoinStep {
                 quantifier: innermost.q,
@@ -237,20 +251,19 @@ fn derive_semijoin_steps(
     (steps, derived)
 }
 
-/// Drops prefix variables that occur in no conjunction (vacuous under the
-/// standard form's non-emptiness assumption).
+/// Drops prefix variables that occur in no conjunction: `Q v IN r (M)` is
+/// `M` when `r` is non-empty, which each drop records as an assumption.
 fn drop_vacuous_prefix_vars(
     prepared: &mut StandardizedSelection,
 ) -> Vec<pascalr_calculus::VarName> {
-    let mut dropped = Vec::new();
-    prepared.form.prefix.retain(|entry| {
-        let occurs = prepared.form.matrix.iter().any(|c| c.mentions(&entry.var));
-        if !occurs {
-            dropped.push(entry.var.clone());
-        }
-        occurs
-    });
-    dropped
+    let (kept, vacuous): (Vec<_>, Vec<_>) = std::mem::take(&mut prepared.form.prefix)
+        .into_iter()
+        .partition(|entry| prepared.form.matrix.iter().any(|c| c.mentions(&entry.var)));
+    prepared.form.prefix = kept;
+    for entry in &vacuous {
+        prepared.form.assume_nonempty(&entry.var, &entry.range);
+    }
+    vacuous.into_iter().map(|entry| entry.var).collect()
 }
 
 /// Chooses the scan order of the base relations for the parallel collection
@@ -432,6 +445,7 @@ pub fn plan(
     } else {
         plan_fixed(&effective, catalog, strategy, options, &stats)
     };
+    plan.effective = (effective != *selection).then_some(effective);
     plan.original = selection.clone();
     plan.warnings = warnings;
 
@@ -444,6 +458,31 @@ pub fn plan(
         );
     }
     plan
+}
+
+/// Plans a query again after the executor found `empty`, a range the plan
+/// assumed non-empty, empty: the planned selection is adapted for it and
+/// planned at the plan's own fixed level with its own options.  `None` if
+/// the adaptation changes nothing.
+pub fn replan_for_empty(
+    query_plan: &QueryPlan,
+    empty: &Assumption,
+    catalog: &Catalog,
+) -> Option<QueryPlan> {
+    let planned = query_plan
+        .effective
+        .as_ref()
+        .unwrap_or(&query_plan.original);
+    let adapted = adapt_selection_for_empty(planned, std::slice::from_ref(empty));
+    if adapted == adapt_selection_for_empty(planned, &[]) {
+        return None;
+    }
+    let mut replanned = plan(&adapted, catalog, query_plan.strategy, query_plan.options);
+    replanned.effective = replanned.effective.or(Some(adapted));
+    replanned.original = query_plan.original.clone();
+    replanned.warnings = query_plan.warnings.clone();
+    replanned.row_budget = query_plan.row_budget;
+    Some(replanned)
 }
 
 /// Builds the plan for one *fixed* strategy level against a prepared
@@ -530,7 +569,9 @@ pub(crate) fn plan_fixed(
 
     QueryPlan {
         strategy,
+        options,
         original: selection.clone(),
+        effective: None,
         prepared,
         extend_report,
         semijoin_steps,

@@ -129,3 +129,78 @@ fn oracle_agreement_on_three_generated_databases() {
         }
     }
 }
+
+/// Selections whose prepared form relies on a *restricted* range being
+/// non-empty on the Figure 1 sample, although its relation is not empty,
+/// with the oracle's row count.
+const RESTRICTED_EMPTY_RANGES: [(&str, &str, usize); 5] = [
+    (
+        "Example 4.7 with c narrowed to a course that does not exist",
+        "enames := [<e.ename> OF \
+           EACH e IN [EACH e IN employees: e.estatus = professor]: \
+           ALL p IN [EACH p IN papers: p.pyear = 1977] \
+             ((p.penr <> e.enr) OR \
+              SOME t IN timetable \
+                ((t.tenr = e.enr) AND \
+                 SOME c IN [EACH c IN courses: (c.clevel = junior) AND (c.cnr = 50)] \
+                   (c.cnr = t.tcnr)))]",
+        1,
+    ),
+    (
+        "a vacuous SOME over an empty range",
+        "r := [<e.ename> OF EACH e IN employees: \
+           SOME p IN [EACH p IN papers: p.pyear = 1900] (e.estatus = professor)]",
+        0,
+    ),
+    (
+        "SOME over an empty range pulled across OR",
+        "r := [<e.ename> OF EACH e IN employees: (e.estatus = professor) OR \
+           SOME p IN [EACH p IN papers: p.pyear = 1900] (p.penr = e.enr)]",
+        3,
+    ),
+    (
+        "ALL over an empty range pulled across AND",
+        "r := [<e.ename> OF EACH e IN employees: (e.estatus = professor) AND \
+           ALL p IN [EACH p IN papers: p.pyear = 1900] (p.penr = e.enr)]",
+        3,
+    ),
+    (
+        "a term of e hoisted past an ALL over an empty range",
+        "r := [<e.ename> OF EACH e IN employees: \
+           NOT SOME p IN [EACH p IN papers: p.pyear = 1900] \
+             (((p.pyear = 1977) AND (p.penr = e.enr)) OR (e.estatus = student))]",
+        6,
+    ),
+];
+
+#[test]
+fn restricted_ranges_that_select_nothing_are_adapted_at_every_level() {
+    let catalog = figure1_sample_database().unwrap();
+    for indexed in [false, true] {
+        let db = Database::from_catalog(catalog.clone());
+        if indexed {
+            for (name, relation, attr) in [
+                ("idx_e_enr", "employees", "enr"),
+                ("idx_p_penr", "papers", "penr"),
+                ("idx_p_pyear", "papers", "pyear"),
+                ("idx_c_cnr", "courses", "cnr"),
+                ("idx_t_tenr", "timetable", "tenr"),
+                ("idx_t_tcnr", "timetable", "tcnr"),
+            ] {
+                db.create_index(name, relation, &[attr]).unwrap();
+            }
+        }
+        for (what, text, rows) in RESTRICTED_EMPTY_RANGES {
+            let expected = oracle_eval(&db.parse(text).unwrap(), &catalog).unwrap();
+            assert_eq!(expected.cardinality(), rows, "oracle, {what}");
+            for level in StrategyLevel::ALL.into_iter().chain([StrategyLevel::Auto]) {
+                let outcome = db.query_with(text, level).unwrap();
+                assert!(
+                    expected.set_eq(&outcome.result),
+                    "{what} at {level}, indexes {indexed}: expected {rows} rows, got {}",
+                    outcome.result.cardinality()
+                );
+            }
+        }
+    }
+}

@@ -68,8 +68,8 @@ proptest! {
 
 #[test]
 fn rows_match_execute_under_the_lemma1_fallback() {
-    // Empty `papers` triggers the AdaptedForEmptyRelations fallback at
-    // every level; the stream must match and report it.
+    // Empty `papers` triggers the Lemma 1 adaptation at every level; the
+    // stream must match and report it.
     let db = sample_db();
     db.mutate(|c| c.relation_mut("papers").unwrap().clear());
     let text = query_by_id("ex2.1").unwrap().text;
@@ -88,7 +88,8 @@ fn rows_match_execute_under_the_lemma1_fallback() {
 #[test]
 fn rows_match_execute_under_the_extended_range_fallback() {
     // Only a senior-level course left: the extended range of `c` is empty,
-    // so Strategy 3/4 re-plan at S2 — through the streaming path too.
+    // so Strategy 3/4 adapt for it and re-plan at their own level —
+    // through the streaming path too.
     let db = sample_db();
     db.mutate(|catalog| {
         let level_ty = catalog.types().enum_type("leveltype").unwrap().clone();
@@ -111,7 +112,10 @@ fn rows_match_execute_under_the_extended_range_fallback() {
         let mut rows = session.rows(text).unwrap();
         let streamed: Vec<Tuple> = rows.by_ref().map(|r| r.unwrap()).collect();
         let fallback = rows.fallback().expect("extended-range fallback");
-        assert!(fallback.contains("re-planned at S2"), "{level}: {fallback}");
+        assert!(
+            fallback.contains("c IN [EACH c IN courses"),
+            "{level}: {fallback}"
+        );
         assert!(!streamed.is_empty());
         assert_stream_matches(session.rows(text).unwrap(), &db, text, level);
     }
