@@ -103,7 +103,7 @@ mod tests {
             variable: "q".into(),
         };
         assert!(e.to_string().contains('q'));
-        let e: CalculusError = RelationError::InvalidOperation {
+        let e: CalculusError = RelationError::DanglingReference {
             detail: "oops".into(),
         }
         .into();

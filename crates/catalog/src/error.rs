@@ -80,7 +80,7 @@ mod tests {
             name: "employees".into(),
         };
         assert!(e.to_string().contains("employees"));
-        let r = RelationError::InvalidOperation {
+        let r = RelationError::DanglingReference {
             detail: "bad".into(),
         };
         let c: CatalogError = r.into();

@@ -784,24 +784,49 @@ impl Database {
         text: &str,
         strategy: StrategyLevel,
     ) -> Result<QueryOutcome, PascalRError> {
-        self.query_text_with_options(text, strategy, self.plan_options)
+        self.query_text(text, None, strategy, self.plan_options)
     }
 
     /// Cached-path text query with explicit planning options (used by
-    /// sessions, whose options may differ from this handle's defaults).
-    pub(crate) fn query_text_with_options(
+    /// sessions, whose options may differ from this handle's defaults):
+    /// parse, fetch the plan from the shared cache, bind `params`, execute
+    /// — one snapshot pin and one cache lookup per call.
+    pub(crate) fn query_text(
         &self,
         text: &str,
+        params: Option<&Params>,
         strategy: StrategyLevel,
         options: PlanOptions,
     ) -> Result<QueryOutcome, PascalRError> {
         let qobs = self.begin_query();
         let catalog = self.snapshot();
-        let selection = Arc::new(parse_selection(text, &catalog)?);
-        reject_unbound_params(&selection)?;
-        let fp = fingerprint(&selection, options);
-        let query_plan = self.cached_plan(&catalog, &selection, fp, strategy, options);
+        let query_plan = self.text_plan(&catalog, text, params, strategy, options)?;
         execute_outcome(self, &catalog, query_plan, qobs)
+    }
+
+    /// Parses `text` against `catalog` and fetches its plan from the shared
+    /// cache, bound to `params`.  Without `params`, a statement with
+    /// placeholders fails before the cache is consulted.
+    fn text_plan(
+        &self,
+        catalog: &CatalogSnapshot,
+        text: &str,
+        params: Option<&Params>,
+        strategy: StrategyLevel,
+        options: PlanOptions,
+    ) -> Result<Arc<QueryPlan>, PascalRError> {
+        let selection = Arc::new(parse_selection(text, catalog)?);
+        if params.is_none() {
+            reject_unbound_params(&selection)?;
+        }
+        let fp = fingerprint(&selection, options);
+        let query_plan = self.cached_plan(catalog, &selection, fp, strategy, options);
+        match params {
+            Some(params) if !selection.param_names().is_empty() => {
+                Ok(Arc::new(query_plan.bind_params(params)?))
+            }
+            _ => Ok(query_plan),
+        }
     }
 
     /// Evaluates an already-parsed selection at an explicit strategy level.
@@ -850,65 +875,19 @@ impl Database {
         Ok(Rows::new(self, snapshot, query_plan, qobs))
     }
 
-    /// Cached-path streaming text query (used by sessions): parse, fetch
-    /// the plan from the shared cache, return the lazy cursor.
-    pub(crate) fn rows_text_with_options(
+    /// Cached-path streaming text query (used by sessions): the lazy-cursor
+    /// counterpart of `Database::query_text`.
+    pub(crate) fn rows_text(
         &self,
         text: &str,
+        params: Option<&Params>,
         strategy: StrategyLevel,
         options: PlanOptions,
     ) -> Result<Rows, PascalRError> {
         let qobs = self.begin_query();
         let snapshot = self.snapshot();
-        let selection = Arc::new(parse_selection(text, &snapshot)?);
-        reject_unbound_params(&selection)?;
-        let fp = fingerprint(&selection, options);
-        let query_plan = self.cached_plan(&snapshot, &selection, fp, strategy, options);
+        let query_plan = self.text_plan(&snapshot, text, params, strategy, options)?;
         Ok(Rows::new(self, snapshot, query_plan, qobs))
-    }
-
-    /// Cached-path streaming text query with parameters bound per call.
-    pub(crate) fn rows_params_with_options(
-        &self,
-        text: &str,
-        params: &Params,
-        strategy: StrategyLevel,
-        options: PlanOptions,
-    ) -> Result<Rows, PascalRError> {
-        let qobs = self.begin_query();
-        let snapshot = self.snapshot();
-        let selection = Arc::new(parse_selection(text, &snapshot)?);
-        let fp = fingerprint(&selection, options);
-        let query_plan = self.cached_plan(&snapshot, &selection, fp, strategy, options);
-        let bound = if selection.param_names().is_empty() {
-            query_plan
-        } else {
-            Arc::new(query_plan.bind_params(params)?)
-        };
-        Ok(Rows::new(self, snapshot, bound, qobs))
-    }
-
-    /// One-shot parameterized text query (used by sessions): parse, fetch
-    /// the placeholder-carrying plan from the cache, bind `params`, execute
-    /// — one snapshot pin and one cache lookup per call.
-    pub(crate) fn query_params_with_options(
-        &self,
-        text: &str,
-        params: &Params,
-        strategy: StrategyLevel,
-        options: PlanOptions,
-    ) -> Result<QueryOutcome, PascalRError> {
-        let qobs = self.begin_query();
-        let catalog = self.snapshot();
-        let selection = Arc::new(parse_selection(text, &catalog)?);
-        let fp = fingerprint(&selection, options);
-        let query_plan = self.cached_plan(&catalog, &selection, fp, strategy, options);
-        let bound = if selection.param_names().is_empty() {
-            query_plan
-        } else {
-            Arc::new(query_plan.bind_params(params)?)
-        };
-        execute_outcome(self, &catalog, bound, qobs)
     }
 
     /// `explain` with explicit planning options (used by sessions).

@@ -3,9 +3,11 @@
 use pascalr_sync::Arc;
 
 use pascalr_calculus::{ParamName, Params, Selection};
+use pascalr_catalog::CatalogSnapshot;
 use pascalr_planner::{PlanOptions, QueryPlan, StrategyLevel};
 
 use crate::db::{execute_outcome, fingerprint, unbound_param_error};
+use crate::obs::QueryObs;
 use crate::{Database, PascalRError, QueryOutcome, Rows};
 
 /// A prepared query: the result of parsing, normalizing and planning a
@@ -118,18 +120,7 @@ impl PreparedQuery {
     /// if the statement has placeholders; bind them with
     /// [`PreparedQuery::execute_with`].
     pub fn execute(&self) -> Result<QueryOutcome, PascalRError> {
-        if let Some(name) = self.param_names.first() {
-            return Err(unbound_param_error(name));
-        }
-        let qobs = self.db.begin_query();
-        let catalog = self.db.snapshot();
-        let query_plan = self.db.cached_plan(
-            &catalog,
-            &self.selection,
-            self.fingerprint,
-            self.strategy,
-            self.options,
-        );
+        let (qobs, catalog, query_plan) = self.bound_plan(None)?;
         execute_outcome(&self.db, &catalog, query_plan, qobs)
     }
 
@@ -139,21 +130,8 @@ impl PreparedQuery {
     /// constants without re-planning.  Extra bindings are ignored; missing
     /// ones are an error.
     pub fn execute_with(&self, params: &Params) -> Result<QueryOutcome, PascalRError> {
-        let qobs = self.db.begin_query();
-        let catalog = self.db.snapshot();
-        let query_plan = self.db.cached_plan(
-            &catalog,
-            &self.selection,
-            self.fingerprint,
-            self.strategy,
-            self.options,
-        );
-        let bound: Arc<QueryPlan> = if self.param_names.is_empty() {
-            query_plan
-        } else {
-            Arc::new(query_plan.bind_params(params)?)
-        };
-        execute_outcome(&self.db, &catalog, bound, qobs)
+        let (qobs, catalog, query_plan) = self.bound_plan(Some(params))?;
+        execute_outcome(&self.db, &catalog, query_plan, qobs)
     }
 
     /// Streams the prepared query as a lazy [`Rows`] cursor.  Fails with an
@@ -169,7 +147,27 @@ impl PreparedQuery {
     /// owns a pinned catalog snapshot — it never blocks writers and keeps
     /// streaming from the version it pinned; see the [`Rows`] docs.
     pub fn rows(&self) -> Result<Rows, PascalRError> {
-        if let Some(name) = self.param_names.first() {
+        let (qobs, snapshot, query_plan) = self.bound_plan(None)?;
+        Ok(Rows::new(&self.db, snapshot, query_plan, qobs))
+    }
+
+    /// Streams the prepared query with parameters bound, as a lazy
+    /// [`Rows`] cursor (the streaming counterpart of
+    /// [`PreparedQuery::execute_with`]).  Extra bindings are ignored;
+    /// missing ones are an error.
+    pub fn rows_with(&self, params: &Params) -> Result<Rows, PascalRError> {
+        let (qobs, snapshot, query_plan) = self.bound_plan(Some(params))?;
+        Ok(Rows::new(&self.db, snapshot, query_plan, qobs))
+    }
+
+    /// Starts observing one execution, pins a snapshot and fetches the
+    /// cached plan, bound to `params`.  Without `params`, a statement with
+    /// placeholders fails before any of that.
+    fn bound_plan(
+        &self,
+        params: Option<&Params>,
+    ) -> Result<(QueryObs, CatalogSnapshot, Arc<QueryPlan>), PascalRError> {
+        if let (None, Some(name)) = (params, self.param_names.first()) {
             return Err(unbound_param_error(name));
         }
         let qobs = self.db.begin_query();
@@ -181,29 +179,13 @@ impl PreparedQuery {
             self.strategy,
             self.options,
         );
-        Ok(Rows::new(&self.db, snapshot, query_plan, qobs))
-    }
-
-    /// Streams the prepared query with parameters bound, as a lazy
-    /// [`Rows`] cursor (the streaming counterpart of
-    /// [`PreparedQuery::execute_with`]).  Extra bindings are ignored;
-    /// missing ones are an error.
-    pub fn rows_with(&self, params: &Params) -> Result<Rows, PascalRError> {
-        let qobs = self.db.begin_query();
-        let snapshot = self.db.snapshot();
-        let query_plan = self.db.cached_plan(
-            &snapshot,
-            &self.selection,
-            self.fingerprint,
-            self.strategy,
-            self.options,
-        );
-        let bound: Arc<QueryPlan> = if self.param_names.is_empty() {
-            query_plan
-        } else {
-            Arc::new(query_plan.bind_params(params)?)
+        let bound = match params {
+            Some(params) if !self.param_names.is_empty() => {
+                Arc::new(query_plan.bind_params(params)?)
+            }
+            _ => query_plan,
         };
-        Ok(Rows::new(&self.db, snapshot, bound, qobs))
+        Ok((qobs, snapshot, bound))
     }
 
     /// The query-shape fingerprint used as part of the plan-cache key.

@@ -158,8 +158,7 @@ impl Session {
     /// One-shot evaluation of a parameter-free statement at the session's
     /// strategy level and planning options (cached-plan path).
     pub fn query(&self, text: &str) -> Result<QueryOutcome, PascalRError> {
-        self.db
-            .query_text_with_options(text, self.strategy, self.options)
+        self.db.query_text(text, None, self.strategy, self.options)
     }
 
     /// One-shot evaluation of a parameterized statement: the plan comes
@@ -171,7 +170,7 @@ impl Session {
         params: &Params,
     ) -> Result<QueryOutcome, PascalRError> {
         self.db
-            .query_params_with_options(text, params, self.strategy, self.options)
+            .query_text(text, Some(params), self.strategy, self.options)
     }
 
     /// Produces the plan (without executing it) for a statement at the
@@ -191,8 +190,7 @@ impl Session {
     /// it never blocks writers and keeps streaming from the version it
     /// pinned; see the [`Rows`] docs.
     pub fn rows(&self, text: &str) -> Result<Rows, PascalRError> {
-        self.db
-            .rows_text_with_options(text, self.strategy, self.options)
+        self.db.rows_text(text, None, self.strategy, self.options)
     }
 
     /// Streams a parameterized statement: the plan comes from the shared
@@ -201,6 +199,6 @@ impl Session {
     /// [`PreparedQuery::rows_with`] instead.
     pub fn rows_with_params(&self, text: &str, params: &Params) -> Result<Rows, PascalRError> {
         self.db
-            .rows_params_with_options(text, params, self.strategy, self.options)
+            .rows_text(text, Some(params), self.strategy, self.options)
     }
 }

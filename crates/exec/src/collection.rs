@@ -35,7 +35,6 @@ use pascalr_planner::{DyadicLink, QueryPlan, SemijoinStep, ValueListMode};
 use pascalr_relation::{CompareOp, ElemRef, Key, Relation, RelationSchema, Tuple, Value};
 use pascalr_storage::{Metrics, Phase};
 
-use crate::access::StorageReader;
 use crate::error::ExecError;
 use crate::predicate::TuplePredicate;
 
@@ -317,12 +316,8 @@ pub struct CollectionOutput {
     pub derived: Vec<DerivedCheck>,
 }
 
-fn resolve_var(
-    var: &VarName,
-    range: &RangeExpr,
-    reader: StorageReader<'_>,
-) -> Result<VarInfo, ExecError> {
-    let rel = reader.relation(&range.relation)?;
+fn resolve_var(var: &VarName, range: &RangeExpr, catalog: &Catalog) -> Result<VarInfo, ExecError> {
+    let rel = catalog.relation(&range.relation)?;
     Ok(VarInfo {
         var: var.clone(),
         relation: Arc::from(rel.name()),
@@ -340,20 +335,19 @@ fn resolve_var(
 /// on the elements that reach it.
 ///
 /// This is the primitive behind every candidate list the collection phase
-/// builds.  All tuple reads go through the backend-generic
-/// [`StorageReader`] seam.
+/// builds.
 pub(crate) fn range_candidates(
     info: &VarInfo,
-    reader: StorageReader<'_>,
+    catalog: &Catalog,
     metrics: &Metrics,
 ) -> Result<Vec<ElemRef>, ExecError> {
-    let rel = reader.relation(&info.relation)?;
-    let provider = ExecProvider(reader.catalog());
+    let rel = catalog.relation(&info.relation)?;
+    let provider = ExecProvider(catalog);
     let restriction =
         TuplePredicate::new(&info.var, &info.schema, info.range.restriction.as_deref());
     counted(metrics, Phase::Collection, |tested| {
         let mut out = Vec::new();
-        for (r, t) in reader.scan(rel) {
+        for (r, t) in rel.iter() {
             if restriction.holds(t, &provider, tested)? {
                 out.push(r);
             }
@@ -370,13 +364,10 @@ pub(crate) fn range_candidates(
 /// was judged index-servable always probes here.  Returns the indexed
 /// component names and the probe key; shape-only — the physical index is
 /// fetched (and lazily rebuilt) by [`range_candidates_indexed`].
-pub(crate) fn range_probe_key(
-    info: &VarInfo,
-    reader: StorageReader<'_>,
-) -> Option<(Vec<String>, Key)> {
+pub(crate) fn range_probe_key(info: &VarInfo, catalog: &Catalog) -> Option<(Vec<String>, Key)> {
     let restriction = info.range.restriction.as_ref()?;
     let eqs = pascalr_optimizer::eq_conjunct_operands(restriction, info.var.as_ref());
-    let decls: Vec<&pascalr_catalog::IndexDecl> = reader.catalog().indexes().collect();
+    let decls: Vec<&pascalr_catalog::IndexDecl> = catalog.indexes().collect();
     for decl in pascalr_optimizer::covering_range_indexes(
         decls.iter().copied(),
         &info.range,
@@ -409,14 +400,14 @@ pub(crate) fn range_probe_key(
 /// index build.
 pub(crate) fn range_candidates_indexed(
     info: &VarInfo,
-    reader: StorageReader<'_>,
+    catalog: &Catalog,
     metrics: &Metrics,
 ) -> Result<Option<Vec<ElemRef>>, ExecError> {
-    let Some((attrs, key)) = range_probe_key(info, reader) else {
+    let Some((attrs, key)) = range_probe_key(info, catalog) else {
         return Ok(None);
     };
     let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-    let Some(use_) = reader.permanent_index(&info.relation, &attr_refs) else {
+    let Some(use_) = catalog.permanent_index(&info.relation, &attr_refs) else {
         return Ok(None);
     };
     if use_.rebuilt {
@@ -428,8 +419,8 @@ pub(crate) fn range_candidates_indexed(
         // without one there is nothing for the index to serve.
         return Ok(None);
     };
-    let rel = reader.relation(&info.relation)?;
-    let provider = ExecProvider(reader.catalog());
+    let rel = catalog.relation(&info.relation)?;
+    let provider = ExecProvider(catalog);
     let residual = TuplePredicate::new(&info.var, &info.schema, [&**restriction]);
     let matches = use_.index.probe(&key);
     // Point reads through the index: one element (and page) per match.
@@ -441,7 +432,7 @@ pub(crate) fn range_candidates_indexed(
     let out = counted(metrics, Phase::Collection, |tested| {
         let mut out = Vec::new();
         for &r in matches {
-            let tuple = reader.deref(rel, r)?;
+            let tuple = rel.deref(r)?;
             if residual.holds(tuple, &provider, tested)? {
                 out.push(r);
             }
@@ -451,27 +442,31 @@ pub(crate) fn range_candidates_indexed(
     Ok(Some(out))
 }
 
+/// Charges one full scan of `relation` to the collection phase: its tuple
+/// count, and its page count under the catalog's page model, which is the
+/// same on every storage backend.
+fn record_scan(catalog: &Catalog, metrics: &Metrics, relation: &str) -> Result<(), ExecError> {
+    let tuples = catalog.relation(relation)?.cardinality() as u64;
+    let pages = catalog
+        .pages_of(relation)
+        .unwrap_or_else(|_| catalog.page_model().pages_for(tuples));
+    metrics.record_scan(Phase::Collection, relation, tuples, pages);
+    Ok(())
+}
+
 /// Accounts for the baseline's relation scans: every join-term evaluation
 /// reads its relation(s), and the range of a variable in no term is read
 /// once for its candidate list.
 fn record_baseline_scans(
     plan: &QueryPlan,
-    reader: StorageReader<'_>,
+    catalog: &Catalog,
     metrics: &Metrics,
 ) -> Result<(), ExecError> {
-    let scan = |relation: &str| -> Result<(), ExecError> {
-        reader.record_scan(metrics, Phase::Collection, relation)
-    };
-    let relation_of_var = |var: &str| -> Option<Arc<str>> {
-        plan.prepared
-            .range_of(var)
-            .map(|r| Arc::from(r.relation.as_ref()))
-    };
     for conj in &plan.prepared.form.matrix {
         for term in &conj.terms {
             for v in &term.vars() {
-                if let Some(rel) = relation_of_var(v) {
-                    scan(&rel)?;
+                if let Some(r) = plan.prepared.range_of(v) {
+                    record_scan(catalog, metrics, &r.relation)?;
                 }
             }
         }
@@ -480,7 +475,7 @@ fn record_baseline_scans(
         let mentioned = plan.prepared.form.matrix.iter().any(|c| c.mentions(&var));
         if !mentioned {
             if let Some(r) = plan.prepared.range_of(&var) {
-                scan(&r.relation)?;
+                record_scan(catalog, metrics, &r.relation)?;
             }
         }
     }
@@ -496,14 +491,14 @@ fn record_baseline_scans(
 fn check_assumptions(
     plan: &QueryPlan,
     lists: &[(&str, &RangeExpr, bool)],
-    reader: StorageReader<'_>,
+    catalog: &Catalog,
     metrics: &Metrics,
 ) -> Result<(), ExecError> {
     for assumed in &plan.prepared.form.assumptions {
         let empty = match lists.iter().find(|(var, ..)| *var == assumed.var.as_ref()) {
             Some((_, _, false)) => false,
             Some((_, range, true)) if **range == assumed.range => true,
-            _ => range_is_empty(assumed, reader, metrics)?,
+            _ => range_is_empty(assumed, catalog, metrics)?,
         };
         if empty {
             return Err(ExecError::AssumedRangeEmpty(assumed.clone()));
@@ -516,15 +511,15 @@ fn check_assumptions(
 /// bare relation, otherwise one charged scan of the relation.
 fn range_is_empty(
     assumed: &Assumption,
-    reader: StorageReader<'_>,
+    catalog: &Catalog,
     metrics: &Metrics,
 ) -> Result<bool, ExecError> {
-    let info = resolve_var(&assumed.var, &assumed.range, reader)?;
+    let info = resolve_var(&assumed.var, &assumed.range, catalog)?;
     if assumed.range.restriction.is_none() {
-        return Ok(reader.relation(&info.relation)?.is_empty());
+        return Ok(catalog.relation(&info.relation)?.is_empty());
     }
-    reader.record_scan(metrics, Phase::Collection, &info.relation)?;
-    Ok(range_candidates(&info, reader, metrics)?.is_empty())
+    record_scan(catalog, metrics, &info.relation)?;
+    Ok(range_candidates(&info, catalog, metrics)?.is_empty())
 }
 
 /// Builds the value list of one Strategy 4 step from its range's
@@ -537,10 +532,10 @@ fn build_derived_check(
     candidates: Vec<ElemRef>,
     target_schema: &RelationSchema,
     earlier: &[DerivedCheck],
-    reader: StorageReader<'_>,
+    catalog: &Catalog,
     metrics: &Metrics,
 ) -> Result<DerivedCheck, ExecError> {
-    let rel = reader.relation(&info.relation)?;
+    let rel = catalog.relation(&info.relation)?;
 
     // Project the retained elements onto the linked bound components.
     let bound_indices = component_indices(
@@ -554,12 +549,12 @@ fn build_derived_check(
         step.links.iter().map(|l| &l.target_attr),
     )?;
 
-    let provider = ExecProvider(reader.catalog());
+    let provider = ExecProvider(catalog);
     let filters = TuplePredicate::of_terms(&step.bound_var, &info.schema, &step.monadic_filters);
     let values = counted(metrics, Phase::Collection, |comparisons| {
         let mut values: Vec<Box<[Value]>> = Vec::new();
         'outer: for r in candidates {
-            let tuple = reader.deref(rel, r)?;
+            let tuple = rel.deref(r)?;
             if !filters.holds(tuple, &provider, comparisons)? {
                 continue;
             }
@@ -652,13 +647,11 @@ pub fn run_collection(
     metrics: &Metrics,
 ) -> Result<CollectionOutput, ExecError> {
     let _span = pascalr_obs::span!("collection");
-    // Every tuple read below goes through the backend-generic seam.
-    let reader = StorageReader::new(catalog);
     let provider = ExecProvider(catalog);
     // An assumed range over an empty relation is decided before any read.
     for assumed in &plan.prepared.form.assumptions {
         let relation = &assumed.range.relation;
-        if reader.relation(relation)?.is_empty() {
+        if catalog.relation(relation)?.is_empty() {
             let bare = RangeExpr::relation(relation.clone());
             return Err(ExecError::AssumedRangeEmpty(Assumption::new(
                 assumed.var.clone(),
@@ -668,7 +661,7 @@ pub fn run_collection(
     }
     // A false matrix qualifies nothing: only the assumptions are tested.
     if plan.prepared.form.matrix_is_false() {
-        check_assumptions(plan, &[], reader, metrics)?;
+        check_assumptions(plan, &[], catalog, metrics)?;
         return Ok(CollectionOutput::default());
     }
     // Resolve combination-phase variables first: which ranges a permanent
@@ -683,12 +676,12 @@ pub fn run_collection(
                 detail: format!("variable {var} has no range"),
             })?
             .clone();
-        var_info.insert(var.to_string(), resolve_var(var, &range, reader)?);
+        var_info.insert(var.to_string(), resolve_var(var, &range, catalog)?);
     }
     let step_infos: Vec<VarInfo> = plan
         .semijoin_steps
         .iter()
-        .map(|s| resolve_var(&s.bound_var, &s.range, reader))
+        .map(|s| resolve_var(&s.bound_var, &s.range, catalog))
         .collect::<Result<_, _>>()?;
 
     // Index-backed range lookups are part of the parallel repertoire
@@ -699,7 +692,7 @@ pub fn run_collection(
     if use_index_ranges {
         let mut fully_served: BTreeMap<String, bool> = BTreeMap::new();
         for info in var_info.values().chain(step_infos.iter()) {
-            let servable = range_probe_key(info, reader).is_some();
+            let servable = range_probe_key(info, catalog).is_some();
             fully_served
                 .entry(info.relation.to_string())
                 .and_modify(|all| *all &= servable)
@@ -709,15 +702,15 @@ pub fn run_collection(
             .into_iter()
             .filter_map(|(rel, all)| all.then_some(rel))
             .collect();
-    } else {
-        record_baseline_scans(plan, reader, metrics)?;
     }
 
     // Candidate lists, per combination-phase variable and then per step.
     // Those of assumed variables come first and the assumptions are tested
     // on them, so a failing plan reads no relation the test did not need.
     // From Strategy 1 on, a relation's one scan is charged with its first
-    // list, unless indexes serve every range over it.
+    // list, unless indexes serve every range over it.  The baseline is
+    // charged its scan model once the assumptions hold; a failing baseline
+    // pays one scan per assumed list it read.
     let infos: Vec<&VarInfo> = all_vars
         .iter()
         .map(|v| &var_info[v.as_ref()])
@@ -736,16 +729,16 @@ pub fn run_collection(
             let _span = pascalr_obs::span!("collect_candidates", var = info.var.as_ref());
             let relation = info.relation.as_ref();
             if use_index_ranges && !index_served.contains(relation) && charged.insert(relation) {
-                reader.record_scan(metrics, Phase::Collection, relation)?;
+                record_scan(catalog, metrics, relation)?;
             }
             let indexed = if use_index_ranges {
-                range_candidates_indexed(info, reader, metrics)?
+                range_candidates_indexed(info, catalog, metrics)?
             } else {
                 None
             };
             *list = Some(match indexed {
                 Some(c) => c,
-                None => range_candidates(info, reader, metrics)?,
+                None => range_candidates(info, catalog, metrics)?,
             });
         }
         if first {
@@ -756,7 +749,18 @@ pub fn run_collection(
                     Some((info.var.as_ref(), &info.range, l.as_ref()?.is_empty()))
                 })
                 .collect();
-            check_assumptions(plan, &built, reader, metrics)?;
+            let checked = check_assumptions(plan, &built, catalog, metrics);
+            if !use_index_ranges {
+                match checked {
+                    Ok(()) => record_baseline_scans(plan, catalog, metrics)?,
+                    Err(_) => {
+                        for info in infos.iter().filter(|i| assumed.contains(i.var.as_ref())) {
+                            record_scan(catalog, metrics, &info.relation)?;
+                        }
+                    }
+                }
+            }
+            checked?;
         }
     }
     let mut lists = lists.into_iter().map(Option::unwrap_or_default);
@@ -780,8 +784,15 @@ pub fn run_collection(
             .ok_or_else(|| ExecError::PlanInvariant {
                 detail: format!("target variable {} has no range", step.target_var),
             })?;
-        let check =
-            build_derived_check(step, info, cands, &target.schema, &derived, reader, metrics)?;
+        let check = build_derived_check(
+            step,
+            info,
+            cands,
+            &target.schema,
+            &derived,
+            catalog,
+            metrics,
+        )?;
         derived.push(check);
     }
 
@@ -810,7 +821,7 @@ pub fn run_collection(
             let Some(info) = var_info.get(var) else {
                 continue;
             };
-            let rel = reader.relation(&info.relation)?;
+            let rel = catalog.relation(&info.relation)?;
             let monadic = TuplePredicate::of_terms(var, &info.schema, conj.monadic_terms_over(var));
             let checks: Vec<&DerivedCheck> = plan.derived_predicates[ci]
                 .iter()
@@ -820,7 +831,7 @@ pub fn run_collection(
             let list = counted(metrics, Phase::Collection, |comparisons| {
                 let mut list = Vec::new();
                 'outer: for &r in &candidates[var] {
-                    let tuple = reader.deref(rel, r)?;
+                    let tuple = rel.deref(r)?;
                     if !monadic.holds(tuple, &provider, comparisons)? {
                         continue;
                     }
@@ -862,8 +873,8 @@ pub fn run_collection(
                 // needs to be materialized.
                 continue;
             };
-            let left_rel = reader.relation(&left_info.relation)?;
-            let right_rel = reader.relation(&right_info.relation)?;
+            let left_rel = catalog.relation(&left_info.relation)?;
+            let right_rel = catalog.relation(&right_info.relation)?;
 
             // Strategy 2: the one-step evaluation restricts the indirect
             // join by the conjunction's monadic terms (single lists);
@@ -924,7 +935,7 @@ pub fn run_collection(
                         (right_info, right_attr.as_ref())
                     };
                     if let Some(use_) =
-                        reader.permanent_index(&probed_info.relation, &[probed_attr])
+                        catalog.permanent_index(&probed_info.relation, &[probed_attr])
                     {
                         if use_.rebuilt {
                             metrics.record_index_build(Phase::Collection);
@@ -972,12 +983,12 @@ pub fn run_collection(
                     };
                 let mut index: HashMap<&Value, Vec<ElemRef>> = HashMap::new();
                 for &b in build_refs {
-                    let t = reader.deref(build_rel, b)?;
+                    let t = build_rel.deref(b)?;
                     index.entry(t.get(build_idx)).or_default().push(b);
                 }
                 let mut probes = 0u64;
                 let joined = probe_refs.iter().try_for_each(|&p| {
-                    let pt = reader.deref(probe_rel, p)?;
+                    let pt = probe_rel.deref(p)?;
                     probes += 1;
                     for &b in index.get(pt.get(probe_idx)).map_or(&[][..], Vec::as_slice) {
                         if build_right {
@@ -993,9 +1004,9 @@ pub fn run_collection(
             } else {
                 counted(metrics, Phase::Collection, |comparisons| {
                     for &l in left_refs {
-                        let lv = reader.deref(left_rel, l)?.get(left_idx);
+                        let lv = left_rel.deref(l)?.get(left_idx);
                         for &r in right_refs {
-                            let rt = reader.deref(right_rel, r)?;
+                            let rt = right_rel.deref(r)?;
                             *comparisons += 1;
                             if op.eval(lv, rt.get(right_idx))? {
                                 pair(l, r);
@@ -1309,6 +1320,117 @@ mod tests {
                 }
             }
         }
+
+        /// The semijoin laws on candidate lists of two-component elements,
+        /// filtered by `SOME` checks with every link `=` (semijoins) and an
+        /// `ALL` check with every link `<>` (the anti-semijoin): R ⋉ S is
+        /// the elements with an equal row in S, a sub-list of R, and
+        /// idempotent; two semijoins give the same list in either order; and
+        /// where every compared component is of one kind, semijoin and
+        /// anti-semijoin partition R.  (A component of another kind equals no
+        /// row and differs from none, so it is in neither.)
+        #[test]
+        fn semijoins_filter_candidate_lists_by_the_laws(
+            col_kinds in proptest::collection::vec(0u8..4, 2),
+            stray in any::<bool>(),
+            list in proptest::collection::vec(proptest::collection::vec(cell(6), 2), 0..30),
+            s1 in proptest::collection::vec(proptest::collection::vec(cell(6), 1), 0..8),
+            s2 in proptest::collection::vec(proptest::collection::vec(cell(6), 2), 0..8),
+        ) {
+            // Half the draws keep every column to one kind.
+            let value = |col: usize, &(odd, kind, n): &(bool, u8, u32)| {
+                sample_value(if odd && stray { kind } else { col_kinds[col] }, n)
+            };
+            let list: Vec<Tuple> = list
+                .iter()
+                .map(|t| Tuple::new(vec![value(0, &t[0]), value(1, &t[1])]))
+                .collect();
+            // s1 is compared with component 0, s2 with components 1 and 0.
+            let s1: Vec<Box<[Value]>> = s1.iter().map(|row| [value(0, &row[0])].into()).collect();
+            let s2: Vec<Box<[Value]>> = s2
+                .iter()
+                .map(|row| [value(1, &row[0]), value(0, &row[1])].into())
+                .collect();
+            let check = |quantifier, op, values: &[Box<[Value]>], target: &[usize]| {
+                let link = DyadicLink {
+                    target_attr: Arc::from("a"),
+                    op,
+                    bound_attr: Arc::from("b"),
+                };
+                DerivedCheck::new(
+                    VarName::from("x"),
+                    quantifier,
+                    vec![link; target.len()],
+                    values.to_vec(),
+                    None,
+                    target.into(),
+                )
+            };
+            let filter = |list: &[Tuple], check: &DerivedCheck| -> Vec<Tuple> {
+                list.iter().filter(|t| check.satisfied(t).0).cloned().collect()
+            };
+            let semi1 = check(Quantifier::Some, CompareOp::Eq, &s1, &[0]);
+            let semi2 = check(Quantifier::Some, CompareOp::Eq, &s2, &[1, 0]);
+            let anti1 = check(Quantifier::All, CompareOp::Ne, &s1, &[0]);
+
+            let r1 = filter(&list, &semi1);
+            let defined: Vec<Tuple> = list
+                .iter()
+                .filter(|t| s1.iter().any(|s| *t.get(0) == s[0]))
+                .cloned()
+                .collect();
+            prop_assert_eq!(&r1, &defined);
+            let mut rest = list.iter();
+            prop_assert!(r1.iter().all(|t| rest.any(|u| u == t)), "R ⋉ S is a sub-list of R");
+            prop_assert_eq!(&filter(&r1, &semi1), &r1);
+            prop_assert_eq!(filter(&filter(&list, &semi2), &semi1), filter(&r1, &semi2));
+
+            let a1 = filter(&list, &anti1);
+            prop_assert!(a1.iter().all(|t| !r1.contains(t)), "semijoin and anti-semijoin are disjoint");
+            let one_kind = list
+                .iter()
+                .map(|t| t.get(0))
+                .chain(s1.iter().map(|s| &s[0]))
+                .all(|x| x.try_compare(&sample_value(col_kinds[0], 0)).is_ok());
+            if one_kind {
+                prop_assert_eq!(r1.len() + a1.len(), list.len());
+                prop_assert!(list.iter().all(|t| r1.contains(t) || a1.contains(t)));
+            }
+        }
+    }
+
+    #[test]
+    fn scan_accounting_uses_the_page_model() {
+        let cat = figure1_sample_database().unwrap();
+        let metrics = Metrics::new();
+        record_scan(&cat, &metrics, "employees").unwrap();
+        let modeled = cat
+            .page_model()
+            .pages_for(cat.relation("employees").unwrap().cardinality() as u64);
+        assert_eq!(metrics.snapshot().total().pages_read, modeled);
+        assert!(record_scan(&cat, &metrics, "nosuch").is_err());
+
+        // Rows inserted later are charged as the model prices them: no
+        // page count is frozen at an earlier state.
+        let mut cat = cat;
+        let template = cat
+            .relation("employees")
+            .unwrap()
+            .tuples()
+            .next()
+            .unwrap()
+            .clone();
+        for enr in 61..=99 {
+            let mut values = template.values().to_vec();
+            values[0] = Value::int(enr);
+            cat.insert("employees", Tuple::new(values)).unwrap();
+        }
+        let metrics = Metrics::new();
+        record_scan(&cat, &metrics, "employees").unwrap();
+        let grown = cat.page_model().pages_for(45);
+        assert!(grown > modeled);
+        assert_eq!(metrics.snapshot().total().pages_read, grown);
+        assert_eq!(cat.pages_of("employees").unwrap(), grown);
     }
 
     #[test]

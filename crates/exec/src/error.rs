@@ -9,11 +9,6 @@ use pascalr_relation::RelationError;
 /// Errors raised while executing a query plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// A variable's range named a relation that is not in the catalog.
-    UnknownRelation {
-        /// The relation name.
-        relation: String,
-    },
     /// A component reference could not be resolved against its variable's
     /// range relation.
     UnknownComponent {
@@ -32,7 +27,8 @@ pub enum ExecError {
     AssumedRangeEmpty(Assumption),
     /// Error from the calculus layer (oracle, adaptation, result schema).
     Calculus(CalculusError),
-    /// Error from the catalog layer.
+    /// Error from the catalog layer (a range over an undeclared relation,
+    /// say).
     Catalog(CatalogError),
     /// Error from the relation layer.
     Relation(RelationError),
@@ -41,12 +37,6 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::UnknownRelation { relation } => {
-                write!(
-                    f,
-                    "range relation {relation} is not declared in the catalog"
-                )
-            }
             ExecError::UnknownComponent {
                 variable,
                 attribute,
@@ -99,7 +89,7 @@ mod tests {
         }
         .into();
         assert!(e.to_string().contains("papers"));
-        let e: ExecError = RelationError::InvalidOperation {
+        let e: ExecError = RelationError::DanglingReference {
             detail: "bad".into(),
         }
         .into();

@@ -16,7 +16,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod access;
 pub mod collection;
 pub mod combine;
 pub mod cursor;
@@ -25,7 +24,6 @@ pub mod executor;
 mod predicate;
 pub mod refrel;
 
-pub use access::StorageReader;
 pub use collection::{CollectionOutput, ConjStructures, DerivedCheck, IndirectJoin, VarInfo};
 pub use cursor::ExecutionCursor;
 pub use error::ExecError;

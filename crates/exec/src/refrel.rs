@@ -556,5 +556,53 @@ mod tests {
                 prop_assert_eq!(&rows, &order);
             }
         }
+
+        /// Division is the classical double difference
+        /// πA(R) − πA((πA(R) × S) − R), with A every column but the divided
+        /// one: over random rows of 1–3 columns, divided on each column by a
+        /// random divisor (some of its references in no row) and by the
+        /// empty one.
+        #[test]
+        fn division_is_the_classical_double_difference(
+            arity in 1usize..4,
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..3, 3), 0..30),
+            divisor in proptest::collection::vec(0u32..5, 0..4),
+        ) {
+            let vars: Vec<VarName> = ["a", "b", "c"][..arity].iter().map(|s| v(s)).collect();
+            let rows: HashSet<Vec<ElemRef>> = rows
+                .iter()
+                .map(|row| (0..arity).map(|c| r(c as u32, row[c])).collect())
+                .collect();
+            let mut rel = RefRel::new(vars.clone());
+            for row in &rows {
+                rel.push(row);
+            }
+            for (col, var) in vars.iter().enumerate() {
+                let drawn: Vec<ElemRef> = divisor.iter().map(|&i| r(col as u32, i)).collect();
+                for s in [drawn, Vec::new()] {
+                    let a_of = |row: &Vec<ElemRef>| {
+                        let mut a = row.clone();
+                        a.remove(col);
+                        a
+                    };
+                    let pa: HashSet<Vec<ElemRef>> = rows.iter().map(a_of).collect();
+                    let missing: HashSet<Vec<ElemRef>> = pa
+                        .iter()
+                        .flat_map(|a| s.iter().map(move |&b| (a, b)))
+                        .filter(|&(a, b)| {
+                            let mut row = a.clone();
+                            row.insert(col, b);
+                            !rows.contains(&row)
+                        })
+                        .map(|(a, _)| a.clone())
+                        .collect();
+                    let classical: HashSet<Vec<ElemRef>> = pa.difference(&missing).cloned().collect();
+                    let (quotient, _) = rel.divide_by(var, &s);
+                    let ours: HashSet<Vec<ElemRef>> = quotient.rows().map(<[ElemRef]>::to_vec).collect();
+                    prop_assert_eq!(ours.len(), quotient.len());
+                    prop_assert_eq!(ours, classical, "dividing on {} by {:?}", col, s);
+                }
+            }
+        }
     }
 }

@@ -52,12 +52,6 @@ pub enum RelationError {
         /// Description of the incompatibility.
         detail: String,
     },
-    /// A malformed algebra operation (e.g. projecting a non-existent column,
-    /// dividing by a relation whose attributes are not a subset).
-    InvalidOperation {
-        /// Description of the invalid operation.
-        detail: String,
-    },
 }
 
 impl fmt::Display for RelationError {
@@ -95,9 +89,6 @@ impl fmt::Display for RelationError {
             }
             RelationError::Incompatible { detail } => {
                 write!(f, "relations are not compatible: {detail}")
-            }
-            RelationError::InvalidOperation { detail } => {
-                write!(f, "invalid relational operation: {detail}")
             }
         }
     }

@@ -12,17 +12,17 @@
 //!   insertion (`:+`), deletion, key-oriented selected variables
 //!   (`rel[keyval]`) and element references (`@rel[keyval]`);
 //! * [`refs`] — element references, the paper's generalization of TIDs;
-//! * [`index`] — (partial) hash indexes from component values to references;
-//! * [`algebra`] — relational algebra (selection, projection, joins,
-//!   product, union, difference, intersection, semijoin, antijoin, division)
-//!   used by the combination phase and by the brute-force oracle.
+//! * [`index`] — (partial) hash indexes from component values to references.
+//!
+//! The relational operators of the combination phase (product, union,
+//! projection, division, semijoin) work on references, not on relations:
+//! they live in the executor (`pascalr-exec`).
 //!
 //! Everything here is deliberately independent of the calculus, the planner
 //! and the executor; those layers build on this one.
 
 #![forbid(unsafe_code)]
 
-pub mod algebra;
 pub mod error;
 pub mod index;
 pub mod refs;

@@ -1,16 +1,14 @@
 //! Property-based tests: on randomly generated departments and randomly
 //! assembled selection expressions, every strategy level must agree with the
-//! brute-force oracle, and the core algebraic identities used by the
-//! combination phase must hold.
+//! brute-force oracle, and standardization must preserve the result.  The
+//! laws of the combination phase's own operators (division, semijoin,
+//! anti-semijoin) are unit tests of `pascalr-exec`, next to the operators.
 
 use proptest::prelude::*;
 
 use pascalr::{Database, StrategyLevel};
 use pascalr_calculus::{ComponentRef, Formula, Operand, RangeDecl, RangeExpr, Selection};
-use pascalr_relation::algebra;
-use pascalr_relation::{
-    Attribute, CompareOp, EnumType, Relation, RelationSchema, Tuple, Value, ValueType,
-};
+use pascalr_relation::{CompareOp, EnumType};
 use pascalr_workload::{generate, oracle_eval, UniversityConfig};
 
 /// A small random selection expression over the university schema.
@@ -120,75 +118,5 @@ proptest! {
         let standardized = pascalr_calculus::standardize(&sel);
         let roundtrip = oracle_eval(&standardized.to_selection(), &cat).unwrap();
         prop_assert!(original.set_eq(&roundtrip));
-    }
-}
-
-/// Random unary/binary integer relations for the algebra identities.
-fn int_relation(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Relation {
-    let schema = RelationSchema::all_key(
-        name.to_string(),
-        attrs
-            .iter()
-            .map(|a| Attribute::new(a.to_string(), ValueType::int()))
-            .collect(),
-    );
-    let mut rel = Relation::new(schema);
-    for row in rows {
-        let _ = rel.insert(Tuple::new(row.into_iter().map(Value::int).collect()));
-    }
-    rel
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Semijoin plus antijoin partition the left relation.
-    #[test]
-    fn semijoin_antijoin_partition(
-        left in proptest::collection::vec((0i64..20, 0i64..20), 0..30),
-        right in proptest::collection::vec((0i64..20,), 0..20)
-    ) {
-        let l = int_relation("l", &["a", "b"], left.into_iter().map(|(a, b)| vec![a, b]).collect());
-        let r = int_relation("r", &["a"], right.into_iter().map(|(a,)| vec![a]).collect());
-        let sj = algebra::semijoin(&l, &r, &[("a", "a")], "sj").unwrap();
-        let aj = algebra::antijoin(&l, &r, &[("a", "a")], "aj").unwrap();
-        prop_assert_eq!(sj.cardinality() + aj.cardinality(), l.cardinality());
-        let back = algebra::union(&sj, &aj, "back").unwrap();
-        prop_assert!(back.set_eq(&l));
-    }
-
-    /// Division agrees with its classical double-difference definition.
-    #[test]
-    fn division_matches_classical_definition(
-        dividend in proptest::collection::vec((0i64..8, 0i64..8), 0..40),
-        divisor in proptest::collection::vec(0i64..8, 0..6)
-    ) {
-        let r = int_relation("r", &["a", "b"], dividend.into_iter().map(|(a, b)| vec![a, b]).collect());
-        let s = int_relation("s", &["b"], divisor.into_iter().map(|b| vec![b]).collect());
-        let ours = algebra::divide(&r, &["a"], &["b"], &s, &["b"], "ours").unwrap();
-        let pa = algebra::project(&r, "pa", &["a"]).unwrap();
-        let cross = algebra::product(&pa, &s, "cross");
-        let missing = algebra::difference(&cross, &r, "missing").unwrap();
-        let missing_a = algebra::project(&missing, "ma", &["a"]).unwrap();
-        let classical = algebra::difference(&pa, &missing_a, "classical").unwrap();
-        prop_assert!(ours.set_eq(&classical));
-    }
-
-    /// Union is commutative and difference is anti-monotone with respect to
-    /// it (sanity identities used throughout the combination phase).
-    #[test]
-    fn union_identities(
-        a in proptest::collection::vec(0i64..30, 0..25),
-        b in proptest::collection::vec(0i64..30, 0..25)
-    ) {
-        let ra = int_relation("a", &["x"], a.into_iter().map(|x| vec![x]).collect());
-        let rb = int_relation("b", &["x"], b.into_iter().map(|x| vec![x]).collect());
-        let ab = algebra::union(&ra, &rb, "ab").unwrap();
-        let ba = algebra::union(&rb, &ra, "ba").unwrap();
-        prop_assert!(ab.set_eq(&ba));
-        prop_assert!(ab.cardinality() <= ra.cardinality() + rb.cardinality());
-        let diff = algebra::difference(&ab, &ra, "d").unwrap();
-        let inter = algebra::intersection(&diff, &ra, "i").unwrap();
-        prop_assert_eq!(inter.cardinality(), 0);
     }
 }
